@@ -65,13 +65,16 @@ def collapse_words(words, tree) -> tuple[Word, ...]:
     return tuple(out)
 
 
+def boundary_columns(s: Skeleton, tree=None) -> tuple[int, ...]:
+    """Labels of the non-tree edges, ascending: the boundary matrix columns."""
+    tree_set = set(spanning_tree(s) if tree is None else tree)
+    return tuple(e for e in range(1, s.n_edges + 1) if e not in tree_set)
+
+
 def boundary_matrix(f: Surface, tree=None) -> list[list[int]]:
     """Abelianized boundary map after collapsing the tree: one row per disk,
     one column per non-tree edge, entries are signed traversal sums."""
-    if tree is None:
-        tree = spanning_tree(f.skeleton)
-    tree_set = set(tree)
-    cols = [e for e in range(1, f.skeleton.n_edges + 1) if e not in tree_set]
+    cols = boundary_columns(f.skeleton, tree)
     col_index = {e: i for i, e in enumerate(cols)}
     m = [[0] * len(cols) for _ in f.disks]
     for r, w in enumerate(f.disks):
@@ -85,8 +88,9 @@ def det_bareiss(matrix) -> int:
     """Exact determinant by fraction-free Gaussian elimination."""
     m = [list(row) for row in matrix]
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
+    for row in m:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
     if n == 0:
         return 1
     sign = 1
@@ -100,11 +104,15 @@ def det_bareiss(matrix) -> int:
                     break
             else:
                 return 0
+        mk = m[k]
+        pivot = mk[k]
         for i in range(k + 1, n):
+            mi = m[i]
+            mik = mi[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+                mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
+            mi[k] = 0
+        prev = pivot
     return sign * m[n - 1][n - 1]
 
 

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import algebra, pipeline
 from .canon import canonical_form
@@ -94,13 +95,24 @@ def _shard_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "shards")
 
 
+def _shard_options(t: int, min_disk_len: int) -> dict:
+    """What a shard file was scanned under; a merge uses only matching files."""
+    return {
+        "complexity": t,
+        "min_disk_len": min_disk_len,
+        "source": pipeline.source_fingerprint(),
+    }
+
+
 def cmd_classify(args) -> int:
     out_dir = args.out or pipeline.default_out_dir()
     t = args.complexity
     if args.shard is not None:
         k, m = args.shard
         os.makedirs(_shard_dir(out_dir), exist_ok=True)
+        options = _shard_options(t, args.min_disk_len)
         for s in enumerate_skeleta(t):
+            started = time.time()
             prefixes = pipeline.shard_prefixes(s, m)
             mine = prefixes[k - 1 :: m] if len(prefixes) >= m else prefixes
             survivors = []
@@ -108,10 +120,12 @@ def cmd_classify(args) -> int:
                 survivors.extend(
                     pipeline._scan_shard((t, s.index, args.min_disk_len, p))
                 )
+            header = dict(options, seconds=round(time.time() - started, 2))
             path = os.path.join(
                 _shard_dir(out_dir), f"t{t}_g{s.index}_shard{k}of{m}.txt"
             )
             with open(path + ".tmp", "w", encoding="utf-8") as fh:
+                fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
                 for cfg in survivors:
                     fh.write(",".join(map(str, cfg)) + "\n")
             os.replace(path + ".tmp", path)
@@ -140,22 +154,44 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _shard_header(path: str) -> dict | None:
+    """The options line of a shard file; None for a file without one."""
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+    if not first.startswith("# "):
+        return None
+    try:
+        return json.loads(first[2:])
+    except ValueError:
+        return None
+
+
 def _try_merge_shards(out_dir, t, min_disk_len, coset_cap):
-    """Merge a complete k/m shard sweep when present on disk."""
+    """Merge a complete k/m shard sweep when present on disk.  Shard files
+    scanned under other options or other code are ignored."""
     sdir = _shard_dir(out_dir)
     if not os.path.isdir(sdir):
         return None
     import re
 
     pat = re.compile(rf"t{t}_g(\d+)_shard(\d+)of(\d+)\.txt$")
+    options = _shard_options(t, min_disk_len)
     found: dict[int, dict[int, str]] = {}
+    scan_seconds: dict[int, float] = {}
     ms = set()
     for name in os.listdir(sdir):
         mch = pat.match(name)
-        if mch:
-            g, k, m = int(mch.group(1)), int(mch.group(2)), int(mch.group(3))
-            ms.add(m)
-            found.setdefault(g, {})[k] = os.path.join(sdir, name)
+        if not mch:
+            continue
+        path = os.path.join(sdir, name)
+        header = _shard_header(path) or {}
+        seconds = header.pop("seconds", 0.0)
+        if header != options:
+            continue
+        g, k, m = int(mch.group(1)), int(mch.group(2)), int(mch.group(3))
+        ms.add(m)
+        found.setdefault(g, {})[k] = path
+        scan_seconds[g] = scan_seconds.get(g, 0.0) + seconds
     if not found or len(ms) != 1:
         return None
     m = ms.pop()
@@ -166,22 +202,19 @@ def _try_merge_shards(out_dir, t, min_disk_len, coset_cap):
         print("shard sweep incomplete; ignoring shard files", file=sys.stderr)
         return None
     result = pipeline.ClassificationResult(t, min_disk_len)
+    manifest = pipeline._Manifest(out_dir, t, min_disk_len, coset_cap)
     for s in skeleta:
+        started = time.time()
         survivors = set()
         for k in range(1, m + 1):
             with open(found[s.index][k], encoding="utf-8") as fh:
                 for line in fh:
-                    if line.strip():
+                    if line.strip() and not line.startswith("#"):
                         survivors.add(tuple(int(x) for x in line.split(",")))
-        result.records.extend(
-            pipeline.reduce_survivors(s, sorted(survivors), coset_cap)
-        )
-    manifest = pipeline._Manifest(out_dir, t, min_disk_len, coset_cap)
-    by_skel: dict[int, list] = {}
-    for r in result.records:
-        by_skel.setdefault(r.skeleton_index, []).append(r)
-    for s in skeleta:
-        manifest.store_skeleton(s.index, by_skel.get(s.index, []), 0.0)
+        records = pipeline.reduce_survivors(s, sorted(survivors), coset_cap)
+        elapsed = scan_seconds[s.index] + time.time() - started
+        manifest.store_skeleton(s.index, records, elapsed)
+        result.records.extend(records)
     manifest.finalize(result)
     return result
 

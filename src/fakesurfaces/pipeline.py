@@ -3,16 +3,22 @@
 For each skeleton of the requested complexity the gluing space is scanned
 (optionally sharded into fixed prefix ranges and farmed out to worker
 processes), acyclic survivors are collected as configuration tuples, and the
-reducer quotients them by the move group: walking the survivor set in order,
-each unseen configuration's orbit is marked and contributes one class whose
-representative is the orbit-minimal configuration.  Orbits never cross the
-survivor set's boundary, so the classes, their representatives and all
-derived data are independent of the shard plan and job count; output files
-are byte-identical across runs.
+reducer quotients them by the move group.  The scan is one explicit-stack
+DFS kernel (surfaces.enumerate_surfaces with the non-tree edges as columns):
+it builds each curve's boundary row as its path closes and looks the last
+edge's closures up per pairing of that edge's open path ends, so a leaf
+costs one determinant and no word is traced.  Words are traced only for the
+orbit representatives in the reduce.  The reducer walks the survivor set
+in order; each unseen configuration's orbit is marked and contributes one
+class whose representative is the orbit-minimal configuration.  Orbits
+never cross the survivor set's boundary, so the classes, their
+representatives and all derived data are independent of the shard plan and
+job count; output files are byte-identical across runs.
 
 Results persist per complexity as a JSON-lines surface file plus a manifest
-with options and content hashes; skeletons already present in a matching
-manifest are skipped on resume.
+with options, a fingerprint of the package's sources and content hashes;
+skeletons already present in a manifest of the same options and code are
+skipped on resume.
 """
 
 from __future__ import annotations
@@ -71,12 +77,10 @@ def _scan_shard(args) -> list[tuple[int, ...]]:
     range of one skeleton's gluing space."""
     complexity, index, min_disk_len, prefix = args
     s = skeleton_by_index(complexity, index)
-    out = []
-    for cfg, words in enumerate_surfaces(s, min_disk_len=min_disk_len, prefix=prefix):
-        m = algebra.boundary_matrix(Surface(s, words))
-        if abs(algebra.det_bareiss(m)) == 1:
-            out.append(cfg)
-    return out
+    leaves = enumerate_surfaces(
+        s, min_disk_len=min_disk_len, prefix=prefix, columns=algebra.boundary_columns(s)
+    )
+    return [cfg for cfg, rows in leaves if abs(algebra.det_bareiss(rows)) == 1]
 
 
 def shard_prefixes(s: Skeleton, shards: int) -> list[tuple[int, ...]]:
@@ -233,6 +237,19 @@ def classify(
     return result
 
 
+def source_fingerprint() -> str:
+    """sha256 over the package's .py sources: state on disk written by other
+    code is not reused."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            h.update(name.encode() + b"\0")
+            with open(os.path.join(package, name), "rb") as fh:
+                h.update(fh.read() + b"\0")
+    return h.hexdigest()
+
+
 class _Manifest:
     """Per-complexity run state: options, per-skeleton part files, hashes."""
 
@@ -243,6 +260,7 @@ class _Manifest:
             "complexity": t,
             "min_disk_len": min_disk_len,
             "coset_cap": coset_cap,
+            "source": source_fingerprint(),
         }
         os.makedirs(out_dir, exist_ok=True)
         self.path = os.path.join(out_dir, f"manifest_t{t}.json")
@@ -259,7 +277,7 @@ class _Manifest:
                 prev = json.load(fh)
             if prev.get("options") == self.options:
                 self.state = prev
-            # differing options: start over, old part files are overwritten
+            # differing options or code: start over, old part files are overwritten
 
     def _part_path(self, index: int) -> str:
         return os.path.join(self.dir, f"surfaces_t{self.t}_g{index}.jsonl")
@@ -439,6 +457,7 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
 
     records = read_records(path)
     report = {"records": len(records), "mismatches": [], "verified": 0}
+    first_of_class: dict[tuple, int] = {}  # (complexity, skeleton, key) -> record
     for n, rec in enumerate(records, start=1):
         problems = []
         try:
@@ -452,6 +471,10 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
         if not v:
             problems.append(("validity", f"{v.kind}: {v.detail}"))
         else:
+            cls = (rec.complexity, rec.skeleton_index, canon.canonical_key(f))
+            first = first_of_class.setdefault(cls, n)
+            if first != n:
+                problems.append(("duplicate", f"same class as record {first}"))
             acyclic = algebra.is_acyclic(f)
             if rec.acyclic is not None and acyclic != rec.acyclic:
                 problems.append(("acyclic", f"derived {acyclic}"))

@@ -282,7 +282,7 @@ def reconstruct_config(s: Skeleton, words) -> GluingConfig:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration with pruning
+# the scan kernel: exhaustive enumeration with pruning
 
 
 @lru_cache(maxsize=None)
@@ -308,77 +308,183 @@ def _vertex_matching(s: Skeleton) -> tuple[int, ...]:
     return tuple(V)
 
 
+def _perfect_matchings(nodes):
+    """Every perfect matching of `nodes`, as a node -> partner dict."""
+    if not nodes:
+        yield {}
+        return
+    first, rest = nodes[0], nodes[1:]
+    for other in rest:
+        for m in _perfect_matchings([n for n in rest if n != other]):
+            yield {first: other, other: first, **m}
+
+
+@lru_cache(maxsize=None)
+def _kernel_tables(s: Skeleton, columns: tuple[int, ...]):
+    """Per-skeleton constants of the scan kernel.
+
+    An open path is kept as one packed integer per end: the number of sheets
+    it uses in the low `shift` bits, and above them its signed traversal
+    counts over `columns`, read from that end, one balanced base-16 digit
+    per column (no curve crosses an edge more than three times, so digits
+    stay within [-3, 3] and packed integers add like their vectors).
+    Returns (fwd, bwd, shift, closing): fwd[e] and bwd[e] pack one sheet of
+    edge e crossed tail to head and head to tail; closing maps the way the
+    open paths pair the last edge's six nodes to the curves each of the six
+    permutations closes, grouped by their number.
+    """
+    shift = (3 * s.n_edges).bit_length()
+    digit = {label: 16**j << shift for j, label in enumerate(columns)}
+    fwd = tuple(digit.get(e + 1, 0) + 1 for e in range(s.n_edges))
+    bwd = tuple(-digit.get(e + 1, 0) + 1 for e in range(s.n_edges))
+
+    # replay the last edge on symbolic paths: the path ending at local node k
+    # is ((k,), 0), and a joined path is (ends read, packed sheets added)
+    base = 6 * (s.n_edges - 1)
+    closing = {}
+    for partner in _perfect_matchings(list(range(6))):
+        by_count: tuple[list, ...] = ([], [], [], [])
+        for pi, p in enumerate(S3):
+            end = [partner[k] for k in range(6)]
+            sym = [((k,), 0) for k in range(6)]
+            curves = []
+            for i in range(3):
+                a, b = i, 3 + p[i]
+                if end[a] == b:
+                    ks, c = sym[b]
+                    curves.append((tuple(base + k for k in ks), c + fwd[-1]))
+                else:
+                    ea, eb = end[a], end[b]
+                    sa, sb, sea, seb = sym[a], sym[b], sym[ea], sym[eb]
+                    sym[ea] = (sea[0] + sb[0], sea[1] + fwd[-1] + sb[1])
+                    sym[eb] = (seb[0] + sa[0], seb[1] + bwd[-1] + sa[1])
+                    end[ea], end[eb] = eb, ea
+            by_count[len(curves)].append((pi, tuple(curves)))
+        closing[tuple(base + partner[k] for k in range(6))] = by_count
+    return fwd, bwd, shift, closing
+
+
+class _RowDecoder(dict):
+    """Packed traversal counts (length bits shifted off) -> boundary row."""
+
+    def __init__(self, n_cols: int):
+        super().__init__()
+        self.n_cols = n_cols
+
+    def __missing__(self, v: int) -> tuple[int, ...]:
+        digits = []
+        rest = v
+        for _ in range(self.n_cols):
+            d = ((rest + 8) & 15) - 8
+            digits.append(d)
+            rest = (rest - d) >> 4
+        row = self[v] = tuple(digits)
+        return row
+
+
 def enumerate_surfaces(
     s: Skeleton,
     min_disk_len: int = 1,
     prefix: GluingConfig = (),
+    columns=None,
 ):
     """Yield (config, words) for every gluing with exactly t+1 boundary
-    curves, every curve of length at least min_disk_len.
+    curves, every curve of length at least min_disk_len, in mixed-radix
+    order (last edge fastest).
 
-    The search walks edge by edge in label order, maintaining the partial
-    boundary paths; a branch dies as soon as it closes a short curve or
-    exceeds the curve budget.  With `prefix` the permutations of the first
-    len(prefix) edges are pinned, which shards the search space into
-    disjoint, deterministic ranges.
+    One explicit-stack DFS walks the edges in label order.  Each depth keeps
+    the open boundary paths: the other end of every path end, and a packed
+    integer per end holding the path's length and its signed traversal
+    counts over `columns` (see _kernel_tables).  Joining two paths adds
+    their integers and closing a curve yields its boundary row, so rows are
+    built as the paths close and no curve is re-traced.  A branch dies as
+    soon as it closes a short curve or t+1 curves before the last edge.  At
+    the last edge the open paths pair its six nodes in one of 15 ways; the
+    curves each permutation closes are looked up per pairing instead of
+    walked.  With `prefix` the permutations of the first len(prefix) edges
+    are pinned, which shards the search space into disjoint, deterministic
+    ranges.
+
+    With `columns` (non-tree edge labels, ascending) the kernel yields
+    (config, rows) instead: one boundary row per curve, over those columns,
+    each row up to sign.  Without it the words are traced per leaf.
 
     Duplicates modulo the relabeling moves are not removed here.
     """
     n_edges = s.n_edges
-    target = s.complexity + 1
-    V = _vertex_matching(s)
-    n_nodes = n_edges * 6
-
-    end_of = list(V)
-    length = [0] * n_nodes  # meaningful at path endpoints: sheet pairs used
-    config = list(prefix) + [0] * (n_edges - len(prefix))
     if len(prefix) > n_edges:
         raise ValueError("prefix longer than the edge list")
+    target = s.complexity + 1
+    last = n_edges - 1
+    fwd, bwd, shift, closing = _kernel_tables(s, tuple(columns or ()))
+    mask = (1 << shift) - 1
+    rows_of = _RowDecoder(len(columns) if columns is not None else 0)
 
-    # iterative DFS over edges; each frame tries the six sheet permutations
-    def descend(e: int, closed: int):
-        if e == n_edges:
-            if closed == target:
-                cfg = tuple(config)
-                yield cfg, trace_gluing(s, cfg)
-            return
-        base = e * 6
-        choices = (config[e],) if e < len(prefix) else range(6)
-        for pi in choices:
-            p = S3[pi]
-            config[e] = pi
-            trail = []
-            ok = True
-            now_closed = closed
-            for i in range(3):
-                a = base + i
-                b = base + 3 + p[i]
-                if end_of[a] == b:
-                    cycle_len = length[a] + 1
-                    if cycle_len < min_disk_len:
-                        ok = False
+    config = list(prefix) + [0] * (n_edges - len(prefix))
+    choices = [(c, c) for c in prefix] + [(0, 5)] * (n_edges - len(prefix))
+    # per depth: other end of each path end, packed paths, closed curves
+    ends: list = [None] * n_edges
+    paths: list = [None] * n_edges
+    closed: list = [None] * n_edges
+    ends[0] = list(_vertex_matching(s))
+    paths[0] = [0] * (6 * n_edges)
+    closed[0] = ()
+    nxt = [c[0] for c in choices]
+    last_lo, last_hi = choices[last]
+
+    e = 0
+    while e >= 0:
+        if e == last:
+            end, pk, done = ends[e], paths[e], closed[e]
+            base = 6 * e
+            need = target - len(done)
+            options = closing[tuple(end[base : base + 6])][need] if need <= 3 else ()
+            for pi, curves in options:
+                if not last_lo <= pi <= last_hi:
+                    continue
+                new = []
+                for ks, x in curves:
+                    for k in ks:
+                        x += pk[k]
+                    if (x & mask) < min_disk_len:
                         break
-                    now_closed += 1
-                    if now_closed > target or (
-                        now_closed == target and (e, i) != (n_edges - 1, 2)
-                    ):
-                        ok = False
-                        break
+                    new.append(x)
                 else:
-                    ea, eb = end_of[a], end_of[b]
-                    new_len = length[a] + length[b] + 1
-                    trail.append((ea, end_of[ea], length[ea]))
-                    trail.append((eb, end_of[eb], length[eb]))
-                    end_of[ea] = eb
-                    end_of[eb] = ea
-                    length[ea] = new_len
-                    length[eb] = new_len
-            if ok:
-                yield from descend(e + 1, now_closed)
-            for node, old_end, old_len in reversed(trail):
-                end_of[node] = old_end
-                length[node] = old_len
-        if e >= len(prefix):
-            config[e] = 0
-
-    yield from descend(0, 0)
+                    config[e] = pi
+                    cfg = tuple(config)
+                    if columns is None:
+                        yield cfg, trace_gluing(s, cfg)
+                    else:
+                        yield cfg, [rows_of[x >> shift] for x in done + tuple(new)]
+            e -= 1
+            continue
+        pi = nxt[e]
+        if pi > choices[e][1]:
+            e -= 1
+            continue
+        nxt[e] = pi + 1
+        config[e] = pi
+        end = ends[e][:]
+        pk = paths[e][:]
+        done = closed[e]
+        base = 6 * e
+        p = S3[pi]
+        ahead, back = fwd[e], bwd[e]
+        for i in range(3):
+            a = base + i
+            b = base + 3 + p[i]
+            if end[a] == b:
+                x = pk[b] + ahead
+                if (x & mask) < min_disk_len or len(done) + 1 >= target:
+                    break
+                done += (x,)
+            else:
+                ea, eb = end[a], end[b]
+                pk[ea] += ahead + pk[b]
+                pk[eb] += back + pk[a]
+                end[ea] = eb
+                end[eb] = ea
+        else:
+            e += 1
+            ends[e], paths[e], closed[e] = end, pk, done
+            nxt[e] = choices[e][0]

@@ -245,3 +245,70 @@ def test_classify_writes_listing_twin(tmp_path):
 def test_classify_skeleton_subset():
     r = classify(2, skeleton_indices=[2])
     assert r.per_skeleton() == {2: 2}
+
+
+def test_resume_restarts_on_source_change(tmp_path, monkeypatch):
+    out = str(tmp_path / "run")
+    computed = []
+    real = pipeline.classify_skeleton
+
+    def counting(s, *args, **kwargs):
+        computed.append(s.index)
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "classify_skeleton", counting)
+    first = classify(2, out_dir=out)
+    assert computed == [1, 2]
+    monkeypatch.setattr(pipeline, "source_fingerprint", lambda: "other code")
+    second = classify(2, out_dir=out)
+    assert computed == [1, 2, 1, 2]  # recomputed, not loaded
+    state = json.load(open(os.path.join(out, "manifest_t2.json")))
+    assert state["options"]["source"] == "other code"
+    classify(2, out_dir=out)
+    assert computed == [1, 2, 1, 2]  # same code again: loaded
+    assert _digest(first) == _digest(second)
+
+
+def test_verify_detects_duplicate_record(tmp_path):
+    out = str(tmp_path / "run")
+    classify(2, out_dir=out)
+    path = tmp_path / "run" / "surfaces_t2.jsonl"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + lines[:1]) + "\n")
+    report = verify_file(str(path))
+    assert report["records"] == 18
+    assert report["verified"] == 17
+    assert report["mismatches"] == [
+        {"record": 18, "field": "duplicate", "got": "same class as record 1"}
+    ]
+
+
+def test_cli_merge_ignores_shards_of_other_options(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    argv = ["classify", "--complexity", "2", "--out", out]
+    assert cli.main(argv + ["--min-disk-len", "3", "--shard", "1/1"]) == 0
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert "complexity 2: 17 surfaces" in capsys.readouterr().out
+    state = json.load(open(os.path.join(out, "manifest_t2.json")))
+    assert state["options"]["min_disk_len"] == 1
+    assert state["combined"]["surfaces"] == 17
+
+
+def test_cli_merged_skeleta_record_shard_scan_seconds(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    argv = ["classify", "--complexity", "2", "--out", out]
+    for k in ("1", "2"):
+        assert cli.main(argv + ["--shard", f"{k}/2"]) == 0
+    # stand in a known scan time in every shard header
+    shard_dir = os.path.join(out, "shards")
+    for name in os.listdir(shard_dir):
+        path = os.path.join(shard_dir, name)
+        head, rest = open(path).read().split("\n", 1)
+        header = dict(json.loads(head[2:]), seconds=5.0)
+        open(path, "w").write("# " + json.dumps(header) + "\n" + rest)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    state = json.load(open(os.path.join(out, "manifest_t2.json")))
+    assert [meta["seconds"] >= 10.0 for meta in state["skeletons"].values()] == [True, True]
+    assert read_records(os.path.join(out, "surfaces_t2.jsonl")) == classify(2).records
