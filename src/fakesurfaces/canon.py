@@ -21,9 +21,10 @@ characterize homeomorphism of labeled surfaces.
 canonical_form quotients by a slightly larger group that also negates all
 occurrences of any single edge as a pure string move, matching the move
 list the reference classification was reduced with; see the note above
-_distinct_edge_perms.  On everything classified here the two quotients
-agree, and both are deterministic and independent of sharding or traversal
-order, so either serves as a dedupe key.
+_letter_tables.  The classifier dedupes by configuration orbits alone (the
+geometric quotient).  The published quotient is a cross-check: verify and
+the tests report any two classes it would merge, and at complexity 4 and
+below it merges none.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ def normalize_word(w) -> Word:
 def normalize_words(words) -> tuple[Word, ...]:
     """Normalize each word and sort the list by length, then letters."""
     return tuple(sorted((normalize_word(w) for w in words), key=_word_key))
-
-
-def words_sort_key(words) -> tuple:
-    return tuple(_word_key(w) for w in words)
 
 
 # ---------------------------------------------------------------------------
@@ -221,89 +218,104 @@ def encode_words(words) -> bytes:
 # published classification nevertheless reduces modulo sign flips of every
 # edge, treated as a pure string operation, which merges a handful of
 # genuinely non-homeomorphic surfaces.  canonical_form implements exactly
-# that coarser quotient so keys agree with the published counts; the
-# geometric quotient stays available separately.
+# that coarser quotient so keys can be compared with the published listings.
 
 
 @lru_cache(maxsize=None)
-def _distinct_edge_perms(s: Skeleton) -> tuple[tuple[tuple[int, ...], tuple[bool, ...]], ...]:
-    """Edge permutations of the relabeling group with one representative
-    flag vector each; residual flag differences are absorbed by the sign
-    group."""
-    seen: dict[tuple[int, ...], tuple[bool, ...]] = {}
-    for rel in edge_relabelings(s):
-        seen.setdefault(rel.perm, rel.flip)
-    return tuple(sorted(seen.items()))
+def _letter_tables(s: Skeleton) -> tuple[dict[int, int], ...]:
+    """One letter map per distinct edge permutation of the relabeling group.
+
+    The relabelings' flip vectors are left out: any pattern of edge
+    orientations is absorbed by the sign group that _min_signed_list
+    minimizes over."""
+    return tuple(
+        {sign * (e + 1): sign * (e2 + 1) for e, e2 in enumerate(perm) for sign in (1, -1)}
+        for perm in sorted({rel.perm for rel in edge_relabelings(s)})
+    )
 
 
-def _min_signed_list(words: tuple[Word, ...], n_edges: int) -> tuple[Word, ...]:
-    """Minimize (sorted word list after per-word rotation/reversal) over all
-    per-edge sign assignments, exactly.
+def _min_signed_list(words, n_edges: int, bound=None):
+    """Minimize the sorted word list (after per-word rotation/reversal) over
+    all per-edge sign assignments, exactly.  Letters come out as codes
+    2*|x| + (x < 0), which order like _letter_key.
 
-    Signs are chosen greedily: the first undecided edge met in the winning
+    The list is built one word (level) at a time, shortest words first.
+    Signs are chosen greedily: the first undecided edge met in a candidate
     alignment is set to make its letter positive, which is lexicographically
-    optimal because a letter's first occurrence dominates later ones.  Ties
-    between alignments that force different sign commitments branch.
+    optimal because a letter's first occurrence dominates later ones.  Every
+    candidate at a level has the same length, so only the states whose word
+    equals the level minimum can lead to the minimal list; ties between
+    alignments that force different sign commitments branch.
+
+    bound is a list already found (for another edge permutation): the
+    search returns None as soon as a level minimum exceeds the bound's word
+    at that level, and stops comparing once a level minimum is below it.
     """
-    # state: (signs tuple with None undecided, remaining words, output so far);
-    # remaining stays sorted so duplicate words collapse into one branch
-    words = tuple(sorted((tuple(w) for w in words), key=lambda w: (len(w), w)))
-    states = [(tuple([None] * n_edges), words, ())]
-    while True:
-        done = [st for st in states if not st[1]]
-        if done:
-            return min(tuple(st[2]) for st in done)
-        advanced = {}
-        for signs, remaining, out in states:
-            min_len = len(remaining[0])
-            best_val = None
-            choices: dict = {}
+    words = tuple(sorted(words, key=lambda w: (len(w), w)))
+    # state: (signs indexed by edge number, 0 undecided, +1 kept, -1 negated;
+    # remaining words, sorted so duplicate words collapse into one branch)
+    states = {((0,) * (n_edges + 1), words): None}
+    out = []
+    for level in range(len(words)):
+        best = bound[level] if bound is not None else None
+        tied = False  # whether best is a candidate found at this level
+        choices: dict = {}
+        for signs, remaining in states:
+            n = len(remaining[0])
             for pos, w in enumerate(remaining):
-                if len(w) > min_len:
+                if len(w) > n:
                     break
                 if pos > 0 and w == remaining[pos - 1]:
                     continue  # identical word, identical candidates
+                rest = remaining[:pos] + remaining[pos + 1 :]
                 for variant in (w, tuple(-x for x in reversed(w))):
                     doubled = variant + variant
-                    for r in range(len(w)):
-                        cand = doubled[r : r + len(w)]
-                        val, new_signs, ok = _greedy_signs(cand, signs, best_val)
-                        if not ok:
+                    for r in range(n):
+                        if best is not None:  # most alignments lose at once
+                            x = variant[r]
+                            e = x if x > 0 else -x
+                            flip = signs[e] != 0 and (x > 0) != (signs[e] > 0)
+                            if 2 * e + flip > best[0]:
+                                continue
+                        got = _greedy_signs(doubled[r : r + n], signs, best)
+                        if got is None:
                             continue
-                        key = tuple(val)
-                        if best_val is None or key < best_val:
-                            best_val = key
-                            choices = {(new_signs, pos): None}
-                        elif key == best_val:
-                            choices[(new_signs, pos)] = None
-            for new_signs, pos in choices:
-                rest = remaining[:pos] + remaining[pos + 1 :]
-                st = (new_signs, rest, out + (best_val,))
-                advanced[st] = None
-        states = list(advanced)
+                        val, new_signs = got
+                        if not tied or val < best:
+                            best, tied = val, True
+                            choices = {}
+                        choices[(new_signs, rest)] = None
+        if not tied:
+            return None  # every candidate exceeds the bound's word
+        if bound is not None and best < bound[level]:
+            bound = None
+        out.append(best)
+        states = choices
+    return tuple(out)
 
 
 def _greedy_signs(word: Word, signs, cutoff):
-    """Resolve a word's letters under partially decided edge signs, deciding
-    free edges so the word is lexicographically minimal.  Returns the
-    resolved letter-key sequence, the extended sign vector, and False early
-    when the sequence already exceeds the cutoff."""
-    new_signs = list(signs)
+    """Resolve a word's letters to codes under partially decided edge signs,
+    deciding free edges so the word is lexicographically minimal.  Returns
+    the codes and the extended sign vector, or None as soon as the codes
+    exceed the cutoff."""
+    new_signs = None
     out = []
     for i, x in enumerate(word):
-        e = abs(x) - 1
-        bit = new_signs[e]
-        if bit is None:
-            bit = 0 if x > 0 else 1  # make this occurrence positive
-            new_signs[e] = bit
-        positive = (x > 0) == (bit == 0)
-        out.append((abs(x), 0 if positive else 1))
-        if cutoff is not None and i < len(cutoff):
-            if out[i] > cutoff[i]:
-                return out, None, False
-            if out[i] < cutoff[i]:
+        e = x if x > 0 else -x
+        sign = signs[e] if new_signs is None else new_signs[e]
+        if sign == 0:  # make this occurrence positive
+            if new_signs is None:
+                new_signs = list(signs)
+            sign = new_signs[e] = 1 if x > 0 else -1
+        code = 2 * e if (x > 0) == (sign > 0) else 2 * e + 1
+        if cutoff is not None:
+            if code > cutoff[i]:
+                return None
+            if code < cutoff[i]:
                 cutoff = None
-    return out, tuple(new_signs), True
+        out.append(code)
+    return tuple(out), signs if new_signs is None else tuple(new_signs)
 
 
 def canonical_form(f: Surface) -> tuple[Word, ...]:
@@ -316,24 +328,12 @@ def canonical_form(f: Surface) -> tuple[Word, ...]:
     """
     s = f.skeleton
     best = None
-    for perm, flip in _distinct_edge_perms(s):
-        mapped = tuple(
-            tuple(
-                (perm[abs(x) - 1] + 1) * (1 if (x > 0) != flip[abs(x) - 1] else -1)
-                for x in w
-            )
-            for w in f.disks
-        )
-        cand = _min_signed_list(mapped, s.n_edges)
-        if best is None or cand < best:
+    for table in _letter_tables(s):
+        mapped = [tuple(table[x] for x in w) for w in f.disks]
+        cand = _min_signed_list(mapped, s.n_edges, best)
+        if cand is not None:
             best = cand
-    return _keys_to_words(best)
-
-
-def _keys_to_words(key_list) -> tuple[Word, ...]:
-    return tuple(
-        tuple(a if bit == 0 else -a for a, bit in w) for w in key_list
-    )
+    return tuple(tuple(-(c >> 1) if c & 1 else c >> 1 for c in w) for w in best)
 
 
 def canonical_key(f: Surface) -> bytes:

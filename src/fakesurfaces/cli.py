@@ -220,6 +220,12 @@ def _try_merge_shards(out_dir, t, min_disk_len, coset_cap):
 
 
 def cmd_verify(args) -> int:
+    """Re-derive validity, acyclicity, flags, spine and pi1 of every record.
+
+    This is also where the published sign-flip quotient is checked: two
+    records of one skeleton with the same canonical_key are reported as a
+    duplicate, since the classifier itself merges germ-symmetry orbits only.
+    """
     report = pipeline.verify_file(args.file, coset_cap=args.coset_cap)
     print(f"records: {report['records']}  verified: {report['verified']}  "
           f"mismatches: {len(report['mismatches'])}")

@@ -3,17 +3,19 @@
 For each skeleton of the requested complexity the gluing space is scanned
 (optionally sharded into fixed prefix ranges and farmed out to worker
 processes), acyclic survivors are collected as configuration tuples, and the
-reducer quotients them by the move group.  The scan is one explicit-stack
-DFS kernel (surfaces.enumerate_surfaces with the non-tree edges as columns):
-it builds each curve's boundary row as its path closes and looks the last
-edge's closures up per pairing of that edge's open path ends, so a leaf
-costs one determinant and no word is traced.  Words are traced only for the
+reducer quotients them by the germ symmetries.  The scan is one
+explicit-stack DFS kernel (surfaces.enumerate_surfaces with the non-tree
+edges as columns): it builds each curve's boundary row as its path closes
+and looks the last edge's closures up per pairing of that edge's open path
+ends, so a leaf costs one determinant and no word is traced.  Words are traced only for the
 orbit representatives in the reduce.  The reducer walks the survivor set
 in order; each unseen configuration's orbit is marked and contributes one
-class whose representative is the orbit-minimal configuration.  Orbits
-never cross the survivor set's boundary, so the classes, their
-representatives and all derived data are independent of the shard plan and
-job count; output files are byte-identical across runs.
+class whose representative is the orbit-minimal configuration.  That orbit
+is the only quotient applied: the published sign-flip key is checked by
+verify_file, not used to merge classes.  Orbits never cross the survivor
+set's boundary, so the classes, their representatives and all derived data
+are independent of the shard plan and job count; output files are
+byte-identical across runs.
 
 Results persist per complexity as a JSON-lines surface file plus a manifest
 with options, a fingerprint of the package's sources and content hashes;
@@ -122,16 +124,17 @@ def classify_skeleton(
 def reduce_survivors(
     s: Skeleton, survivors, coset_cap: int = algebra.DEFAULT_COSET_CAP
 ) -> list[SurfaceRecord]:
-    """Quotient survivor configurations by the move group and derive flags
-    and certificates for one representative per class.
+    """Quotient survivor configurations by the germ symmetries and derive
+    flags and certificates for one representative per class.
 
-    Two stages: the fast geometric quotient (germ-symmetry orbits of
-    configurations), then the published sign-flip quotient merging the few
-    geometric classes that differ only by non-loop reorientations.
+    The quotient is the germ-symmetry orbit of each configuration: every
+    orbit is one class, represented by the words its minimal configuration
+    traces.  The published, coarser sign-flip quotient (canon.canonical_key)
+    is not applied here; verify_file reports any two records it would merge.
     """
     survivor_set = set(survivors)
     seen: set = set()
-    geo_reps = []
+    records = []
     for cfg in sorted(survivor_set):
         if cfg in seen:
             continue
@@ -142,26 +145,9 @@ def reduce_survivors(
                 f"orbit escapes the survivor set at {missing}; shard scan incomplete?"
             )
         seen |= orbit
-        geo_reps.append(min(orbit))
-    merged: dict[bytes, list] = {}
-    for cfg in geo_reps:
-        words = canon.normalize_words(trace_gluing(s, cfg))
-        merged.setdefault(canon.canonical_key(Surface(s, words)), []).append(words)
-    records = []
-    for key in sorted(merged):
-        members = sorted(merged[key], key=canon.words_sort_key)
-        words = members[0]
+        words = canon.normalize_words(trace_gluing(s, min(orbit)))
         f = Surface(s, words)
         flags = tuple(topology.disk_flags(f))
-        for other in members[1:]:
-            other_prof = sorted(
-                (len(w), fl) for w, fl in zip(other, topology.disk_flags(Surface(s, other)))
-            )
-            prof = sorted((len(w), fl) for w, fl in zip(words, flags))
-            if prof != other_prof:
-                raise AssertionError(
-                    f"merged classes disagree on flags: {words} vs {other}"
-                )
         verdict = algebra.pi1_trivial(f, cap=coset_cap)
         if verdict.status == "finite":
             pi1 = f"finite:{verdict.order}"
@@ -178,12 +164,8 @@ def reduce_survivors(
                 pi1=pi1,
             )
         )
-    records.sort(key=lambda r: (r.skeleton_index, _record_key(r)))
+    records.sort(key=lambda r: canon.encode_words(r.disks))
     return records
-
-
-def _record_key(r: SurfaceRecord) -> bytes:
-    return ";".join(",".join(str(x) for x in w) for w in r.disks).encode()
 
 
 def classify(
@@ -451,7 +433,11 @@ def stats_spine_ratio(results: dict[int, ClassificationResult]) -> list[dict]:
 def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
     """Re-derive every stored claim of a surface file and report agreement.
 
-    Mismatches are collected, not raised; parse errors abort with line info.
+    A record in the same published (sign-flip) class as an earlier record of
+    its skeleton is a `duplicate` mismatch.  The classifier quotients by
+    germ-symmetry orbits only, so this is where a merge by the coarser
+    published quotient shows up.  Mismatches are collected, not raised;
+    parse errors abort with line info.
     """
     from .formats import normalize_orientations  # local to avoid cycle noise
 
@@ -474,7 +460,9 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
             cls = (rec.complexity, rec.skeleton_index, canon.canonical_key(f))
             first = first_of_class.setdefault(cls, n)
             if first != n:
-                problems.append(("duplicate", f"same class as record {first}"))
+                problems.append(
+                    ("duplicate", f"same published (sign-flip) class as record {first}")
+                )
             acyclic = algebra.is_acyclic(f)
             if rec.acyclic is not None and acyclic != rec.acyclic:
                 problems.append(("acyclic", f"derived {acyclic}"))

@@ -279,7 +279,11 @@ def test_verify_detects_duplicate_record(tmp_path):
     assert report["records"] == 18
     assert report["verified"] == 17
     assert report["mismatches"] == [
-        {"record": 18, "field": "duplicate", "got": "same class as record 1"}
+        {
+            "record": 18,
+            "field": "duplicate",
+            "got": "same published (sign-flip) class as record 1",
+        }
     ]
 
 
