@@ -22,9 +22,9 @@ canonical_form quotients by a slightly larger group that also negates all
 occurrences of any single edge as a pure string move, matching the move
 list the reference classification was reduced with; see the note above
 _letter_tables.  The classifier dedupes by configuration orbits alone (the
-geometric quotient).  The published quotient is a cross-check: verify and
-the tests report any two classes it would merge, and at complexity 4 and
-below it merges none.
+geometric quotient).  The published quotient is a cross-check that merges
+nothing: classify and verify report any two classes it would merge, and at
+complexity 4 and below it merges none.
 """
 
 from __future__ import annotations
@@ -271,20 +271,31 @@ def _min_signed_list(words, n_edges: int, bound=None):
                 for variant in (w, tuple(-x for x in reversed(w))):
                     doubled = variant + variant
                     for r in range(n):
-                        if best is not None:  # most alignments lose at once
-                            x = variant[r]
+                        # resolve the alignment's letters to codes, setting
+                        # each undecided edge so its first letter is positive
+                        cutoff, new_signs, codes = best, None, []
+                        for i in range(r, r + n):
+                            x = doubled[i]
                             e = x if x > 0 else -x
-                            flip = signs[e] != 0 and (x > 0) != (signs[e] > 0)
-                            if 2 * e + flip > best[0]:
-                                continue
-                        got = _greedy_signs(doubled[r : r + n], signs, best)
-                        if got is None:
-                            continue
-                        val, new_signs = got
-                        if not tied or val < best:
-                            best, tied = val, True
-                            choices = {}
-                        choices[(new_signs, rest)] = None
+                            sign = signs[e] if new_signs is None else new_signs[e]
+                            code = 2 * e if sign == 0 or (x > 0) == (sign > 0) else 2 * e + 1
+                            if cutoff is not None:
+                                if code > cutoff[i - r]:
+                                    break  # most alignments lose at once
+                                if code < cutoff[i - r]:
+                                    cutoff = None
+                            if sign == 0:
+                                if new_signs is None:
+                                    new_signs = list(signs)
+                                new_signs[e] = 1 if x > 0 else -1
+                            codes.append(code)
+                        else:
+                            val = tuple(codes)
+                            if not tied or val < best:
+                                best, tied = val, True
+                                choices = {}
+                            key = signs if new_signs is None else tuple(new_signs)
+                            choices[(key, rest)] = None
         if not tied:
             return None  # every candidate exceeds the bound's word
         if bound is not None and best < bound[level]:
@@ -292,30 +303,6 @@ def _min_signed_list(words, n_edges: int, bound=None):
         out.append(best)
         states = choices
     return tuple(out)
-
-
-def _greedy_signs(word: Word, signs, cutoff):
-    """Resolve a word's letters to codes under partially decided edge signs,
-    deciding free edges so the word is lexicographically minimal.  Returns
-    the codes and the extended sign vector, or None as soon as the codes
-    exceed the cutoff."""
-    new_signs = None
-    out = []
-    for i, x in enumerate(word):
-        e = x if x > 0 else -x
-        sign = signs[e] if new_signs is None else new_signs[e]
-        if sign == 0:  # make this occurrence positive
-            if new_signs is None:
-                new_signs = list(signs)
-            sign = new_signs[e] = 1 if x > 0 else -1
-        code = 2 * e if (x > 0) == (sign > 0) else 2 * e + 1
-        if cutoff is not None:
-            if code > cutoff[i]:
-                return None
-            if code < cutoff[i]:
-                cutoff = None
-        out.append(code)
-    return tuple(out), signs if new_signs is None else tuple(new_signs)
 
 
 def canonical_form(f: Surface) -> tuple[Word, ...]:

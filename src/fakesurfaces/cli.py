@@ -151,7 +151,13 @@ def cmd_classify(args) -> int:
           f"({result.spines} spines) across {len(result.per_skeleton())} skeleta")
     for idx, n in result.per_skeleton().items():
         print(f"  skeleton {idx}: {n}")
+    _print_sign_flip_merges(result.sign_flip_merges)
     return 0
+
+
+def _print_sign_flip_merges(merges) -> None:
+    for first, later in merges:
+        print(f"  records {first} and {later}: one published (sign-flip) class")
 
 
 def _shard_header(path: str) -> dict | None:
@@ -215,6 +221,9 @@ def _try_merge_shards(out_dir, t, min_disk_len, coset_cap):
         elapsed = scan_seconds[s.index] + time.time() - started
         manifest.store_skeleton(s.index, records, elapsed)
         result.records.extend(records)
+    result.sign_flip_merges = pipeline.find_sign_flip_merges(
+        r.surface() for r in result.records
+    )
     manifest.finalize(result)
     return result
 
@@ -222,15 +231,18 @@ def _try_merge_shards(out_dir, t, min_disk_len, coset_cap):
 def cmd_verify(args) -> int:
     """Re-derive validity, acyclicity, flags, spine and pi1 of every record.
 
-    This is also where the published sign-flip quotient is checked: two
-    records of one skeleton with the same canonical_key are reported as a
-    duplicate, since the classifier itself merges germ-symmetry orbits only.
+    Two homeomorphic records of one skeleton are a `duplicate` mismatch.
+    Two records that only the published sign-flip quotient puts in one class
+    are listed after the mismatches and do not change the exit status: the
+    classifier keeps them apart on purpose.
     """
     report = pipeline.verify_file(args.file, coset_cap=args.coset_cap)
     print(f"records: {report['records']}  verified: {report['verified']}  "
-          f"mismatches: {len(report['mismatches'])}")
+          f"mismatches: {len(report['mismatches'])}  "
+          f"sign-flip merges: {len(report['sign_flip_merges'])}")
     for m in report["mismatches"]:
         print(f"  record {m['record']}: {m['field']}: {m['got']}")
+    _print_sign_flip_merges(report["sign_flip_merges"])
     return 0 if not report["mismatches"] else 1
 
 

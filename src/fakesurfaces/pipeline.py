@@ -11,11 +11,13 @@ ends, so a leaf costs one determinant and no word is traced.  Words are traced o
 orbit representatives in the reduce.  The reducer walks the survivor set
 in order; each unseen configuration's orbit is marked and contributes one
 class whose representative is the orbit-minimal configuration.  That orbit
-is the only quotient applied: the published sign-flip key is checked by
-verify_file, not used to merge classes.  Orbits never cross the survivor
-set's boundary, so the classes, their representatives and all derived data
-are independent of the shard plan and job count; output files are
-byte-identical across runs.
+is the only quotient applied.  The published, coarser sign-flip key
+(canon.canonical_key) is computed once per class after the reduce and
+never merges anything: the pairs of classes it would merge are reported
+(ClassificationResult.sign_flip_merges, the manifest, verify_file).  Orbits
+never cross the survivor set's boundary, so the classes, their
+representatives and all derived data are independent of the shard plan and
+job count; output files are byte-identical across runs.
 
 Results persist per complexity as a JSON-lines surface file plus a manifest
 with options, a fingerprint of the package's sources and content hashes;
@@ -50,6 +52,8 @@ class ClassificationResult:
     complexity: int
     min_disk_len: int
     records: list[SurfaceRecord] = field(default_factory=list)
+    # (first, later) record numbers in one published sign-flip class
+    sign_flip_merges: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def total(self) -> int:
@@ -130,7 +134,7 @@ def reduce_survivors(
     The quotient is the germ-symmetry orbit of each configuration: every
     orbit is one class, represented by the words its minimal configuration
     traces.  The published, coarser sign-flip quotient (canon.canonical_key)
-    is not applied here; verify_file reports any two records it would merge.
+    is not applied here; see find_sign_flip_merges.
     """
     survivor_set = set(survivors)
     seen: set = set()
@@ -214,9 +218,30 @@ def classify(
         if pool is not None:
             pool.close()
             pool.join()
+    result.sign_flip_merges = find_sign_flip_merges(r.surface() for r in result.records)
     if manifest is not None:
         manifest.finalize(result)
     return result
+
+
+def find_sign_flip_merges(surfaces) -> list[tuple[int, int]]:
+    """Pairs (first, later) of 1-based positions whose surfaces lie over one
+    skeleton and in one published sign-flip class (canon.canonical_key).
+
+    The classifier keeps such classes apart, since the sign-flip quotient
+    can merge non-homeomorphic surfaces; this reports what the published
+    quotient would have merged.  None entries are skipped.
+    """
+    first_of_class: dict[tuple, int] = {}
+    merges = []
+    for n, f in enumerate(surfaces, start=1):
+        if f is None:
+            continue
+        s = f.skeleton
+        first = first_of_class.setdefault((s.complexity, s.index, canon.canonical_key(f)), n)
+        if first != n:
+            merges.append((first, n))
+    return merges
 
 
 def source_fingerprint() -> str:
@@ -310,6 +335,7 @@ class _Manifest:
             "surfaces": result.total,
             "sha256": _sha256(combined),
             "listing_sha256": _sha256(listing),
+            "sign_flip_merges": [list(pair) for pair in result.sign_flip_merges],
         }
         self._write()
 
@@ -433,18 +459,21 @@ def stats_spine_ratio(results: dict[int, ClassificationResult]) -> list[dict]:
 def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
     """Re-derive every stored claim of a surface file and report agreement.
 
-    A record in the same published (sign-flip) class as an earlier record of
-    its skeleton is a `duplicate` mismatch.  The classifier quotients by
-    germ-symmetry orbits only, so this is where a merge by the coarser
-    published quotient shows up.  Mismatches are collected, not raised;
-    parse errors abort with line info.
+    A record homeomorphic to an earlier record of its skeleton (same
+    canon.geometric_key) is a `duplicate` mismatch.  Records that only the
+    coarser published sign-flip quotient puts in one class are not an error
+    (the classifier keeps them apart); they are listed as (first, later)
+    pairs in report["sign_flip_merges"].  Mismatches are collected, not
+    raised; parse errors abort with line info.
     """
     from .formats import normalize_orientations  # local to avoid cycle noise
 
     records = read_records(path)
     report = {"records": len(records), "mismatches": [], "verified": 0}
     first_of_class: dict[tuple, int] = {}  # (complexity, skeleton, key) -> record
+    distinct: list[Surface | None] = []  # valid records of a class not seen yet
     for n, rec in enumerate(records, start=1):
+        distinct.append(None)
         problems = []
         try:
             s = skeleton_by_index(rec.complexity, rec.skeleton_index)
@@ -457,12 +486,12 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
         if not v:
             problems.append(("validity", f"{v.kind}: {v.detail}"))
         else:
-            cls = (rec.complexity, rec.skeleton_index, canon.canonical_key(f))
+            cls = (rec.complexity, rec.skeleton_index, canon.geometric_key(f))
             first = first_of_class.setdefault(cls, n)
             if first != n:
-                problems.append(
-                    ("duplicate", f"same published (sign-flip) class as record {first}")
-                )
+                problems.append(("duplicate", f"same class as record {first}"))
+            else:
+                distinct[-1] = f
             acyclic = algebra.is_acyclic(f)
             if rec.acyclic is not None and acyclic != rec.acyclic:
                 problems.append(("acyclic", f"derived {acyclic}"))
@@ -494,6 +523,7 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
                 )
         else:
             report["verified"] += 1
+    report["sign_flip_merges"] = find_sign_flip_merges(distinct)
     return report
 
 

@@ -1,10 +1,10 @@
 """The published (sign-flip) class key: the pruned canonical_form against the
 exhaustive oracle in key_oracle, and the cross-check that the quotient the
-classifier no longer applies would merge no two of its records."""
+classifier does not apply would merge no two of its records."""
 
 import random
 
-from fakesurfaces.canon import canonical_form, canonical_key, germ_symmetries
+from fakesurfaces.canon import canonical_form, germ_symmetries
 from fakesurfaces.formats import ingest_row, load_reference_listing
 from fakesurfaces.surfaces import Surface
 
@@ -61,16 +61,12 @@ def test_sign_flip_quotient_merges_no_records(classification):
     # the classifier quotients by germ-symmetry orbits only; the published
     # coarser quotient must not merge any two of its classes at t <= 4
     results, _ = classification
-    first: dict = {}
-    collisions = []
-    for t in (1, 2, 3, 4):
-        for n, rec in enumerate(results[t].records, start=1):
-            cls = (t, rec.skeleton_index, canonical_key(rec.surface()))
-            if cls in first:
-                collisions.append(
-                    f"t={t} skeleton {rec.skeleton_index}: record {first[cls][0]} "
-                    f"{first[cls][1]} and record {n} {rec.disks}"
-                )
-            else:
-                first[cls] = (n, rec.disks)
-    assert not collisions, "; ".join(collisions)
+    merges = {t: results[t].sign_flip_merges for t in (1, 2, 3, 4)}
+    named = [
+        f"t={t} skeleton {results[t].records[a - 1].skeleton_index}: "
+        f"record {a} {results[t].records[a - 1].disks} and "
+        f"record {b} {results[t].records[b - 1].disks}"
+        for t, pairs in merges.items()
+        for a, b in pairs
+    ]
+    assert not named, "; ".join(named)

@@ -279,12 +279,29 @@ def test_verify_detects_duplicate_record(tmp_path):
     assert report["records"] == 18
     assert report["verified"] == 17
     assert report["mismatches"] == [
-        {
-            "record": 18,
-            "field": "duplicate",
-            "got": "same published (sign-flip) class as record 1",
-        }
+        {"record": 18, "field": "duplicate", "got": "same class as record 1"}
     ]
+    assert report["sign_flip_merges"] == []
+
+
+def test_sign_flip_merges_are_reported_not_applied(tmp_path, monkeypatch, capsys):
+    # no two t <= 4 classes share a published key, so stand in a key that
+    # puts every surface of a skeleton in one published class
+    monkeypatch.setattr(pipeline.canon, "canonical_key", lambda f: b"one class")
+    out = str(tmp_path / "run")
+    result = classify(2, out_dir=out)
+    assert result.per_skeleton() == {1: 15, 2: 2}
+    want = [(1, n) for n in range(2, 16)] + [(16, 17)]
+    assert result.sign_flip_merges == want
+    assert _digest(result) == _digest(classify(2))  # nothing merged
+    state = json.load(open(os.path.join(out, "manifest_t2.json")))
+    assert state["combined"]["sign_flip_merges"] == [list(p) for p in want]
+    path = os.path.join(out, "surfaces_t2.jsonl")
+    report = verify_file(path)
+    assert (report["verified"], report["mismatches"]) == (17, [])
+    assert report["sign_flip_merges"] == want
+    assert cli.main(["verify", path]) == 0
+    assert "records 16 and 17: one published (sign-flip) class" in capsys.readouterr().out
 
 
 def test_cli_merge_ignores_shards_of_other_options(tmp_path, capsys):
