@@ -7,17 +7,17 @@ reducer quotients them by the germ symmetries.  The scan is one
 explicit-stack DFS kernel (surfaces.enumerate_surfaces with the non-tree
 edges as columns): it builds each curve's boundary row as its path closes
 and looks the last edge's closures up per pairing of that edge's open path
-ends, so a leaf costs one determinant and no word is traced.  Words are traced only for the
-orbit representatives in the reduce.  The reducer walks the survivor set
-in order; each unseen configuration's orbit is marked and contributes one
-class whose representative is the orbit-minimal configuration.  That orbit
-is the only quotient applied.  The published, coarser sign-flip key
-(canon.canonical_key) is computed once per class after the reduce and
-never merges anything: the pairs of classes it would merge are reported
-(ClassificationResult.sign_flip_merges, the manifest, verify_file).  Orbits
-never cross the survivor set's boundary, so the classes, their
-representatives and all derived data are independent of the shard plan and
-job count; output files are byte-identical across runs.
+ends, so a leaf costs one determinant and no word is traced.  Words are
+traced only for the orbit representatives in the reduce.  The reducer walks
+the survivor set in order; each unseen configuration's orbit is marked and
+contributes one class whose representative is the orbit-minimal
+configuration.  That orbit is the only quotient applied.  The published,
+coarser sign-flip key (canon.canonical_key) is computed once per class
+after the reduce and never merges anything: the pairs of classes it would
+merge are reported (ClassificationResult.sign_flip_merges, the manifest,
+verify_file).  Orbits never cross the survivor set's boundary, so the
+classes, their representatives and all derived data are independent of the
+shard plan and job count; output files are byte-identical across runs.
 
 Results persist per complexity as a JSON-lines surface file plus a manifest
 with options, a fingerprint of the package's sources and content hashes;
