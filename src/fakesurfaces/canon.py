@@ -21,10 +21,11 @@ characterize homeomorphism of labeled surfaces.
 canonical_form quotients by a slightly larger group that also negates all
 occurrences of any single edge as a pure string move, matching the move
 list the reference classification was reduced with; see the note above
-_letter_tables.  The classifier dedupes by configuration orbits alone (the
-geometric quotient).  The published quotient is a cross-check that merges
-nothing: classify and verify report any two classes it would merge, and at
-complexity 4 and below it merges none.
+_letter_tables.  The classifier's reduce and dedupe below both quotient by
+configuration orbits alone (the geometric quotient).  The published
+quotient is a cross-check that merges nothing: classify and verify report
+any two classes it would merge, and at complexity 4 and below it merges
+none.
 """
 
 from __future__ import annotations
@@ -329,10 +330,11 @@ def canonical_key(f: Surface) -> bytes:
 
 
 def dedupe(surfaces) -> list[Surface]:
-    """One representative per canonical form, sorted by key.
+    """One representative per homeomorphism class (geometric_key), sorted by
+    key: the quotient the classifier applies.
 
     All surfaces must share one skeleton.  The representative kept for each
-    class is its minimal valid member under the geometric form.
+    class is its geometric form, the words the classifier stores for it.
     """
     seen: dict[bytes, Surface] = {}
     skeleton = None
@@ -341,8 +343,6 @@ def dedupe(surfaces) -> list[Surface]:
             skeleton = f.skeleton
         elif f.skeleton is not skeleton and f.skeleton != skeleton:
             raise ValueError("dedupe expects surfaces over a single skeleton")
-        key = canonical_key(f)
-        rep = Surface(f.skeleton, geometric_form(f))
-        if key not in seen or encode_words(rep.disks) < encode_words(seen[key].disks):
-            seen[key] = rep
+        form = geometric_form(f)
+        seen.setdefault(encode_words(form), Surface(f.skeleton, form))
     return [seen[k] for k in sorted(seen)]

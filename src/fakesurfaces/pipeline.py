@@ -5,9 +5,10 @@ For each skeleton of the requested complexity the gluing space is scanned
 processes), acyclic survivors are collected as configuration tuples, and the
 reducer quotients them by the germ symmetries.  The scan is one
 explicit-stack DFS kernel (surfaces.enumerate_surfaces with the non-tree
-edges as columns): it builds each curve's boundary row as its path closes
-and looks the last edge's closures up per pairing of that edge's open path
-ends, so a leaf costs one determinant and no word is traced.  Words are
+edges as columns): it builds each curve's boundary row as its path closes,
+stops before the last two edges and looks both edges' closures up per
+pairing of their open path ends in a table cached per skeleton, so a leaf
+costs one determinant and no word is traced.  Words are
 traced only for the orbit representatives in the reduce.  The reducer walks
 the survivor set in order; each unseen configuration's orbit is marked and
 contributes one class whose representative is the orbit-minimal

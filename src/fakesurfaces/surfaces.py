@@ -308,17 +308,6 @@ def _vertex_matching(s: Skeleton) -> tuple[int, ...]:
     return tuple(V)
 
 
-def _perfect_matchings(nodes):
-    """Every perfect matching of `nodes`, as a node -> partner dict."""
-    if not nodes:
-        yield {}
-        return
-    first, rest = nodes[0], nodes[1:]
-    for other in rest:
-        for m in _perfect_matchings([n for n in rest if n != other]):
-            yield {first: other, other: first, **m}
-
-
 @lru_cache(maxsize=None)
 def _kernel_tables(s: Skeleton, columns: tuple[int, ...]):
     """Per-skeleton constants of the scan kernel.
@@ -328,40 +317,66 @@ def _kernel_tables(s: Skeleton, columns: tuple[int, ...]):
     counts over `columns`, read from that end, one balanced base-16 digit
     per column (no curve crosses an edge more than three times, so digits
     stay within [-3, 3] and packed integers add like their vectors).
-    Returns (fwd, bwd, shift, closing): fwd[e] and bwd[e] pack one sheet of
-    edge e crossed tail to head and head to tail; closing maps the way the
-    open paths pair the last edge's six nodes to the curves each of the six
-    permutations closes, grouped by their number.
+    Returns (fwd, bwd, shift, tails): fwd[e] and bwd[e] pack one sheet of
+    edge e crossed tail to head and head to tail; tails is the _TailTable of
+    the last two edges.  Cached per (skeleton, columns), so every prefix
+    shard a process scans shares one tail table.
     """
     shift = (3 * s.n_edges).bit_length()
     digit = {label: 16**j << shift for j, label in enumerate(columns)}
     fwd = tuple(digit.get(e + 1, 0) + 1 for e in range(s.n_edges))
     bwd = tuple(-digit.get(e + 1, 0) + 1 for e in range(s.n_edges))
+    return fwd, bwd, shift, _TailTable(6 * (s.n_edges - 2), fwd[-2:], bwd[-2:])
 
-    # replay the last edge on symbolic paths: the path ending at local node k
-    # is ((k,), 0), and a joined path is (ends read, packed sheets added)
-    base = 6 * (s.n_edges - 1)
-    closing = {}
-    for partner in _perfect_matchings(list(range(6))):
-        by_count: tuple[list, ...] = ([], [], [], [])
-        for pi, p in enumerate(S3):
-            end = [partner[k] for k in range(6)]
-            sym = [((k,), 0) for k in range(6)]
+
+# every (p, q) pair of permutations of the last two edges, in mixed-radix order
+_TAIL_PAIRS = tuple((p, q) for p in range(6) for q in range(6))
+
+
+class _TailTable(dict):
+    """The curves the last two edges close, keyed by how the open paths pair
+    those edges' twelve nodes.
+
+    A key is the partner of each of the twelve nodes (absolute node numbers,
+    edge n-2 first).  Its value lists, by number of curves closed, the
+    permutation pairs (p, q) in mixed-radix order, each with its curves in
+    closing order; a curve is (nodes, constant), and its packed integer is
+    the constant plus the packed path ends of those nodes.  Only a few of
+    the 10,395 pairings occur on a skeleton, so entries are built on first
+    use by replaying both edges on symbolic paths: the path ending at node k
+    is ((k,), 0), and a joined path is (ends read, packed sheets added).
+    """
+
+    def __init__(self, base: int, fwd: tuple[int, int], bwd: tuple[int, int]):
+        super().__init__()
+        self.base = base
+        self.sheets = tuple(zip(fwd, bwd))
+        self.interned: dict = {}  # equal curves share one tuple across entries
+
+    def __missing__(self, key: tuple[int, ...]):
+        base = self.base
+        by_count: tuple[list, ...] = tuple([] for _ in range(7))
+        for pair in _TAIL_PAIRS:
+            end = [k - base for k in key]
+            sym = [((base + k,), 0) for k in range(12)]
             curves = []
-            for i in range(3):
-                a, b = i, 3 + p[i]
-                if end[a] == b:
-                    ks, c = sym[b]
-                    curves.append((tuple(base + k for k in ks), c + fwd[-1]))
-                else:
-                    ea, eb = end[a], end[b]
-                    sa, sb, sea, seb = sym[a], sym[b], sym[ea], sym[eb]
-                    sym[ea] = (sea[0] + sb[0], sea[1] + fwd[-1] + sb[1])
-                    sym[eb] = (seb[0] + sa[0], seb[1] + bwd[-1] + sa[1])
-                    end[ea], end[eb] = eb, ea
-            by_count[len(curves)].append((pi, tuple(curves)))
-        closing[tuple(base + partner[k] for k in range(6))] = by_count
-    return fwd, bwd, shift, closing
+            for j, (ahead, back) in enumerate(self.sheets):
+                p = S3[pair[j]]
+                for i in range(3):
+                    a, b = 6 * j + i, 6 * j + 3 + p[i]
+                    if end[a] == b:
+                        ks, c = sym[b]
+                        curve = (ks, c + ahead)
+                        curves.append(self.interned.setdefault(curve, curve))
+                    else:
+                        ea, eb = end[a], end[b]
+                        sa, sb, sea, seb = sym[a], sym[b], sym[ea], sym[eb]
+                        sym[ea] = (sea[0] + sb[0], sea[1] + ahead + sb[1])
+                        sym[eb] = (seb[0] + sa[0], seb[1] + back + sa[1])
+                        end[ea], end[eb] = eb, ea
+            by_count[len(curves)].append((pair, tuple(curves)))
+        self[key] = by_count
+        return by_count
 
 
 class _RowDecoder(dict):
@@ -398,12 +413,13 @@ def enumerate_surfaces(
     counts over `columns` (see _kernel_tables).  Joining two paths adds
     their integers and closing a curve yields its boundary row, so rows are
     built as the paths close and no curve is re-traced.  A branch dies as
-    soon as it closes a short curve or t+1 curves before the last edge.  At
-    the last edge the open paths pair its six nodes in one of 15 ways; the
-    curves each permutation closes are looked up per pairing instead of
-    walked.  With `prefix` the permutations of the first len(prefix) edges
-    are pinned, which shards the search space into disjoint, deterministic
-    ranges.
+    soon as it closes a short curve or t+1 curves.  The DFS stops before
+    the last two edges: there the open paths pair those edges' twelve nodes,
+    and the curves each of the 36 permutation pairs closes are looked up per
+    pairing in the skeleton's _TailTable instead of walked.  With `prefix`
+    the permutations of the first len(prefix) edges are pinned, which shards
+    the search space into disjoint, deterministic ranges; a prefix may pin
+    one or both tail edges.
 
     With `columns` (non-tree edge labels, ascending) the kernel yields
     (config, rows) instead: one boundary row per curve, over those columns,
@@ -415,13 +431,16 @@ def enumerate_surfaces(
     if len(prefix) > n_edges:
         raise ValueError("prefix longer than the edge list")
     target = s.complexity + 1
-    last = n_edges - 1
-    fwd, bwd, shift, closing = _kernel_tables(s, tuple(columns or ()))
+    tail = n_edges - 2
+    fwd, bwd, shift, tails = _kernel_tables(s, tuple(columns or ()))
     mask = (1 << shift) - 1
     rows_of = _RowDecoder(len(columns) if columns is not None else 0)
 
     config = list(prefix) + [0] * (n_edges - len(prefix))
     choices = [(c, c) for c in prefix] + [(0, 5)] * (n_edges - len(prefix))
+    # the tail pairs a prefix allows when it pins one or both tail edges
+    pins = tuple(prefix[tail:])
+    pinned = {pair for pair in _TAIL_PAIRS if pair[: len(pins)] == pins} if pins else None
     # per depth: other end of each path end, packed paths, closed curves
     ends: list = [None] * n_edges
     paths: list = [None] * n_edges
@@ -430,18 +449,17 @@ def enumerate_surfaces(
     paths[0] = [0] * (6 * n_edges)
     closed[0] = ()
     nxt = [c[0] for c in choices]
-    last_lo, last_hi = choices[last]
 
     e = 0
     while e >= 0:
-        if e == last:
+        if e == tail:
             end, pk, done = ends[e], paths[e], closed[e]
-            base = 6 * e
             need = target - len(done)
-            options = closing[tuple(end[base : base + 6])][need] if need <= 3 else ()
-            for pi, curves in options:
-                if not last_lo <= pi <= last_hi:
-                    continue
+            options = tails[tuple(end[6 * tail :])][need] if need <= 6 else ()
+            if pinned is not None:
+                options = [o for o in options if o[0] in pinned]
+            head = tuple(config[:tail])
+            for pair, curves in options:
                 new = []
                 for ks, x in curves:
                     for k in ks:
@@ -450,8 +468,7 @@ def enumerate_surfaces(
                         break
                     new.append(x)
                 else:
-                    config[e] = pi
-                    cfg = tuple(config)
+                    cfg = head + pair
                     if columns is None:
                         yield cfg, trace_gluing(s, cfg)
                     else:

@@ -29,16 +29,16 @@ from .surfaces import (
 Word = tuple[int, ...]
 
 
-def _sheet_transport(s: Skeleton, disks) -> list[dict[int, int]]:
+def _sheet_transport(s: Skeleton, disks) -> tuple[list[dict[int, int]], ...]:
     """Per edge, the tail-end slot germ to head-end slot germ bijection of
-    its three sheets, recovered from the word system."""
+    its three sheets and its inverse, recovered from the word system."""
     config = reconstruct_config(s, disks)
-    out = []
+    forward = []
     for e, pi in enumerate(config):
         t_slots, h_slots = s.end_slots[e]
         p = S3[pi]
-        out.append({t_slots[i]: h_slots[p[i]] for i in range(3)})
-    return out
+        forward.append({t_slots[i]: h_slots[p[i]] for i in range(3)})
+    return forward, [{v: k for k, v in m.items()} for m in forward]
 
 
 def is_embedded(f: Surface, d: int) -> bool:
@@ -52,18 +52,10 @@ def is_embedded(f: Surface, d: int) -> bool:
     return len(set(vertices)) == len(vertices)
 
 
-def t_bundle_trivial(f: Surface, d: int) -> bool:
-    """Monodromy of the two free arms of the triod fiber around disk d."""
-    s = f.skeleton
-    w = f.disks[d]
+def _arms_fixed(s: Skeleton, w: Word, forward, backward) -> bool:
+    """Monodromy of the two free arms of the triod fiber around the disk
+    with boundary word w, given the word system's sheet transport."""
     L = len(w)
-    transport = _sheet_transport(s, f.disks)
-    inverse = [{v: k for k, v in m.items()} for m in transport]
-
-    def step(letter: int, germ: int) -> int:
-        e = abs(letter) - 1
-        return transport[e][germ] if letter > 0 else inverse[e][germ]
-
     out0 = arrival_germ(s, w[0])
     in1 = departure_germ(s, w[1 % L])
     vertex = out0 // 4
@@ -72,7 +64,9 @@ def t_bundle_trivial(f: Surface, d: int) -> bool:
     for i in range(L):
         nxt = w[(i + 1) % L]
         # crossing the corner keeps the arm germs; ride the next edge
-        arms = [step(nxt, g) for g in arms]
+        e = abs(nxt) - 1
+        ride = forward[e] if nxt > 0 else backward[e]
+        arms = [ride[g] for g in arms]
     if tuple(arms) == start:
         return True
     if tuple(arms) == (start[1], start[0]):
@@ -80,14 +74,30 @@ def t_bundle_trivial(f: Surface, d: int) -> bool:
     raise AssertionError(f"arms {arms} did not return to the starting fiber {start}")
 
 
+def _trivial_bundles(f: Surface):
+    """Per disk, in word order, whether its triod bundle is trivial; the
+    sheet transport is recovered once for the whole surface."""
+    s = f.skeleton
+    forward, backward = _sheet_transport(s, f.disks)
+    return (_arms_fixed(s, w, forward, backward) for w in f.disks)
+
+
+def t_bundle_trivial(f: Surface, d: int) -> bool:
+    """Monodromy of the two free arms of the triod fiber around disk d."""
+    return _arms_fixed(f.skeleton, f.disks[d], *_sheet_transport(f.skeleton, f.disks))
+
+
 def disk_flags(f: Surface) -> list[tuple[bool, bool]]:
     """(embedded, trivial bundle) per disk, in word order."""
-    return [(is_embedded(f, d), t_bundle_trivial(f, d)) for d in range(len(f.disks))]
+    return [
+        (is_embedded(f, d), trivial)
+        for d, trivial in enumerate(_trivial_bundles(f))
+    ]
 
 
 def is_spine(f: Surface) -> bool:
     """True when every disk has a trivial triod bundle."""
-    return all(t_bundle_trivial(f, d) for d in range(len(f.disks)))
+    return all(_trivial_bundles(f))
 
 
 def has_embedded_disk(f: Surface) -> bool:
@@ -96,4 +106,4 @@ def has_embedded_disk(f: Surface) -> bool:
 
 def nontrivial_t_count(f: Surface) -> int:
     """Number of disks with nontrivial triod bundles (0 means spine)."""
-    return sum(not t_bundle_trivial(f, d) for d in range(len(f.disks)))
+    return sum(not trivial for trivial in _trivial_bundles(f))

@@ -174,6 +174,18 @@ def test_dedupe_counts_t2():
         assert len(dedupe(surfs)) == want
 
 
+def test_dedupe_applies_the_geometric_quotient_not_the_published_key(monkeypatch):
+    # a published key that puts every surface in one class merges nothing
+    import fakesurfaces.canon as canon
+
+    monkeypatch.setattr(canon, "canonical_key", lambda f: b"one class")
+    s = skeleton_by_index(2, 1)
+    surfs = [Surface(s, w) for cfg, w in enumerate_surfaces(s)]
+    reps = dedupe(surfs)
+    assert [geometric_key(f) for f in reps] == sorted({geometric_key(f) for f in surfs})
+    assert all(f.disks == geometric_form(f) for f in reps)
+
+
 def test_some_gluing_traces_to_the_abalone_class():
     s = skeleton_by_index(1, 1)
     target = canonical_key(Surface(s, ABALONE))
