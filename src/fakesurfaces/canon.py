@@ -16,16 +16,18 @@ Moves (1) and (2) together form the finite group of germ symmetries of the
 skeleton.  The group acts on gluing configurations; geometric_form traces
 the minimal configuration in the orbit, normalizes every word over
 rotations and reflection, and sorts the list.  Equal geometric forms
-characterize homeomorphism of labeled surfaces.
+characterize homeomorphism of labeled surfaces.  Words compare as tuples
+of letter codes 2*|x| + (x < 0), which order letters 1 < -1 < 2 < -2 < ...
 
 canonical_form quotients by a slightly larger group that also negates all
 occurrences of any single edge as a pure string move, matching the move
 list the reference classification was reduced with; see the note above
-_letter_tables.  The classifier's reduce and dedupe below both quotient by
-configuration orbits alone (the geometric quotient).  The published
-quotient is a cross-check that merges nothing: classify and verify report
-any two classes it would merge, and at complexity 4 and below it merges
-none.
+_letter_tables.  It is one exact search over every edge permutation at
+once (_min_signed_list).  The classifier's reduce and dedupe below both
+quotient by configuration orbits alone (the geometric quotient).  The
+published quotient is a cross-check that merges nothing: classify and
+verify report any two classes it would merge, and it merges none at
+complexity 4 and below nor among the 111,460 classes of complexity 5.
 """
 
 from __future__ import annotations
@@ -45,36 +47,32 @@ from .surfaces import (
 )
 
 
-def _letter_key(x: int) -> tuple[int, int]:
-    # order letters 1 < -1 < 2 < -2 < ...
-    return (abs(x), 0 if x > 0 else 1)
+def _decode(codes) -> Word:
+    return tuple(-(c >> 1) if c & 1 else c >> 1 for c in codes)
 
 
-def _word_key(w: Word) -> tuple:
-    return (len(w), tuple(_letter_key(x) for x in w))
+def _alignments(codes) -> list[tuple[int, ...]]:
+    """Every rotation of a code word and of its negated reversal."""
+    n = len(codes)
+    rev = tuple(c ^ 1 for c in reversed(codes))
+    return [d[i : i + n] for d in (codes + codes, rev + rev) for i in range(n)]
+
+
+def _min_rotation(w) -> tuple[int, ...]:
+    if not w:
+        raise ValueError("empty word")
+    return min(_alignments(tuple(2 * x if x > 0 else 1 - 2 * x for x in w)))
 
 
 def normalize_word(w) -> Word:
     """Minimal representative over all rotations of the word and of its
     reversal with negated letters; idempotent."""
-    w = tuple(w)
-    if not w:
-        raise ValueError("empty word")
-    rev = tuple(-x for x in reversed(w))
-    best = None
-    for base in (w, rev):
-        n = len(base)
-        doubled = base + base
-        for i in range(n):
-            cand = doubled[i : i + n]
-            if best is None or _word_key(cand) < _word_key(best):
-                best = cand
-    return best
+    return _decode(_min_rotation(w))
 
 
 def normalize_words(words) -> tuple[Word, ...]:
     """Normalize each word and sort the list by length, then letters."""
-    return tuple(sorted((normalize_word(w) for w in words), key=_word_key))
+    return tuple(map(_decode, sorted(map(_min_rotation, words), key=lambda c: (len(c), c))))
 
 
 # ---------------------------------------------------------------------------
@@ -224,83 +222,83 @@ def encode_words(words) -> bytes:
 
 @lru_cache(maxsize=None)
 def _letter_tables(s: Skeleton) -> tuple[dict[int, int], ...]:
-    """One letter map per distinct edge permutation of the relabeling group.
+    """One map from letters to codes per distinct edge permutation of the
+    relabeling group.
 
     The relabelings' flip vectors are left out: any pattern of edge
     orientations is absorbed by the sign group that _min_signed_list
     minimizes over."""
     return tuple(
-        {sign * (e + 1): sign * (e2 + 1) for e, e2 in enumerate(perm) for sign in (1, -1)}
+        {sign * (e + 1): 2 * e2 + 2 + (sign < 0) for e, e2 in enumerate(perm) for sign in (1, -1)}
         for perm in sorted({rel.perm for rel in edge_relabelings(s)})
     )
 
 
-def _min_signed_list(words, n_edges: int, bound=None):
-    """Minimize the sorted word list (after per-word rotation/reversal) over
-    all per-edge sign assignments, exactly.  Letters come out as codes
-    2*|x| + (x < 0), which order like _letter_key.
+def _min_signed_list(lists, n_edges: int):
+    """The minimal sorted code-word list over all edge permutations (one
+    word list each, with one length multiset), per-edge sign assignments
+    and word rotations and reversals, exactly.
 
-    The list is built one word (level) at a time, shortest words first.
-    Signs are chosen greedily: the first undecided edge met in a candidate
-    alignment is set to make its letter positive, which is lexicographically
-    optimal because a letter's first occurrence dominates later ones.  Every
-    candidate at a level has the same length, so only the states whose word
-    equals the level minimum can lead to the minimal list; ties between
-    alignments that force different sign commitments branch.
+    One search runs level by level, one word per level, shortest words
+    first, from one state (sign table, remaining words) per permutation.  A
+    sign table maps each letter code to its code under the signs chosen so
+    far, 0 while the edge is undecided.  All candidates at a level have one
+    length, so each level keeps only the states reaching the minimum word
+    across all states; ties that commit different signs branch.  An
+    undecided edge met in an alignment is set so its first letter there is
+    positive, which is optimal because a first occurrence dominates.
 
-    bound is a list already found (for another edge permutation): the
-    search returns None as soon as a level minimum exceeds the bound's word
-    at that level, and stops comparing once a level minimum is below it.
+    First-letter cut: an alignment opens with its edge's even code unless
+    the edge is decided the other way, so a word's smallest first code is
+    its smallest edge's.  A word whose smallest first code exceeds the
+    level's best word so far is skipped; only alignments opening with that
+    code are resolved.  A one-letter word reads as its edge's even code
+    under either sign, so it leaves the edge undecided: the edge's next
+    first occurrence picks the sign greedily, the minimum of both choices.
     """
-    words = tuple(sorted(words, key=lambda w: (len(w), w)))
-    # state: (signs indexed by edge number, 0 undecided, +1 kept, -1 negated;
-    # remaining words, sorted so duplicate words collapse into one branch)
-    states = {((0,) * (n_edges + 1), words): None}
+    undecided = (0,) * (2 * n_edges + 2)
+    states = {(undecided, tuple(sorted(ws, key=lambda w: (len(w), w)))): None for ws in lists}
+    openings: dict = {}  # word -> (smallest first code, alignments opening with it)
     out = []
-    for level in range(len(words)):
-        best = bound[level] if bound is not None else None
-        tied = False  # whether best is a candidate found at this level
+    for _ in range(len(lists[0])):
+        remaining = next(iter(states))[1]
+        n = len(remaining[0])
+        shortest = sum(1 for w in remaining if len(w) == n)
+        best = (len(undecided),)  # above every code word
         choices: dict = {}
-        for signs, remaining in states:
-            n = len(remaining[0])
-            for pos, w in enumerate(remaining):
-                if len(w) > n:
-                    break
+        for table, remaining in states:
+            get = table.__getitem__
+            for pos in range(shortest):
+                w = remaining[pos]
                 if pos > 0 and w == remaining[pos - 1]:
                     continue  # identical word, identical candidates
+                if w not in openings:
+                    low = min(w) & -2
+                    openings[w] = low, [a for a in _alignments(w) if a[0] | 1 == low | 1]
+                low, aligned = openings[w]
+                if low > best[0]:
+                    continue
                 rest = remaining[:pos] + remaining[pos + 1 :]
-                for variant in (w, tuple(-x for x in reversed(w))):
-                    doubled = variant + variant
-                    for r in range(n):
-                        # resolve the alignment's letters to codes, setting
-                        # each undecided edge so its first letter is positive
-                        cutoff, new_signs, codes = best, None, []
-                        for i in range(r, r + n):
-                            x = doubled[i]
-                            e = x if x > 0 else -x
-                            sign = signs[e] if new_signs is None else new_signs[e]
-                            code = 2 * e if sign == 0 or (x > 0) == (sign > 0) else 2 * e + 1
-                            if cutoff is not None:
-                                if code > cutoff[i - r]:
-                                    break  # most alignments lose at once
-                                if code < cutoff[i - r]:
-                                    cutoff = None
-                            if sign == 0:
-                                if new_signs is None:
-                                    new_signs = list(signs)
-                                new_signs[e] = 1 if x > 0 else -1
-                            codes.append(code)
-                        else:
-                            val = tuple(codes)
-                            if not tied or val < best:
-                                best, tied = val, True
-                                choices = {}
-                            key = signs if new_signs is None else tuple(new_signs)
-                            choices[(key, rest)] = None
-        if not tied:
-            return None  # every candidate exceeds the bound's word
-        if bound is not None and best < bound[level]:
-            bound = None
+                if n == 1:
+                    if (low,) < best:
+                        best, choices = (low,), {}
+                    choices[(table, rest)] = None
+                    continue
+                for seq in aligned:
+                    if get(seq[0]) & 1:
+                        continue  # opens with the odd code
+                    val, key = tuple(map(get, seq)), table
+                    if 0 in val:
+                        new = list(table)
+                        for c in seq:
+                            if not new[c]:
+                                new[c], new[c ^ 1] = c & -2, c | 1
+                        val, key = tuple(map(new.__getitem__, seq)), tuple(new)
+                    if val < best:
+                        best, choices = val, {}
+                    elif val > best:
+                        continue
+                    choices[(key, rest)] = None
         out.append(best)
         states = choices
     return tuple(out)
@@ -310,18 +308,14 @@ def canonical_form(f: Surface) -> tuple[Word, ...]:
     """Minimum over the published move group: edge relabelings, sign flips
     of every edge, word rotation/reversal, disk reorder.
 
+    One joint search covers every edge permutation (_min_signed_list).
     The minimizing sign pattern need not preserve validity, so the returned
     list is a key, not necessarily an attachable word system; use
     geometric_form for a valid representative.
     """
     s = f.skeleton
-    best = None
-    for table in _letter_tables(s):
-        mapped = [tuple(table[x] for x in w) for w in f.disks]
-        cand = _min_signed_list(mapped, s.n_edges, best)
-        if cand is not None:
-            best = cand
-    return tuple(tuple(-(c >> 1) if c & 1 else c >> 1 for c in w) for w in best)
+    lists = [[tuple(map(table.__getitem__, w)) for w in f.disks] for table in _letter_tables(s)]
+    return tuple(map(_decode, _min_signed_list(lists, s.n_edges)))
 
 
 def canonical_key(f: Surface) -> bytes:

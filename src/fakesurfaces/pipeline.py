@@ -192,7 +192,11 @@ def classify(
         raise ValueError("complexity must be at least 1")
     skeleta = enumerate_skeleta(t)
     if skeleton_indices is not None:
-        skeleta = tuple(s for s in skeleta if s.index in set(skeleton_indices))
+        wanted = set(skeleton_indices)
+        unknown = sorted(wanted - {s.index for s in skeleta})
+        if unknown:
+            raise ValueError(f"unknown skeleton indices {unknown}: t={t} has {len(skeleta)}")
+        skeleta = tuple(s for s in skeleta if s.index in wanted)
     result = ClassificationResult(t, min_disk_len)
 
     manifest = None

@@ -44,6 +44,20 @@ def test_normalize_word_is_exhaustive_minimum():
         assert normalize_word(v) == normalize_word(w)
 
 
+def test_normalize_word_matches_brute_force_minimum():
+    # normalize_word compares integer codes; this minimum uses the letter
+    # order 1 < -1 < 2 < -2 < ... directly
+    letter_key = lambda x: (abs(x), 0 if x > 0 else 1)
+    word_key = lambda v: (len(v), tuple(map(letter_key, v)))
+    rng = random.Random(2026)
+    letters = [x for e in range(1, 10) for x in (e, -e)]
+    for _ in range(500):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 20)))
+        rev = tuple(-x for x in reversed(w))
+        variants = [b[i:] + b[:i] for b in (w, rev) for i in range(len(w))]
+        assert normalize_word(w) == min(variants, key=word_key)
+
+
 def test_normalize_word_idempotent():
     rng = random.Random(5)
     for _ in range(200):

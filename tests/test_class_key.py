@@ -50,11 +50,24 @@ def test_canonical_form_matches_oracle_on_classes_rows_and_images(classification
 
 
 def test_canonical_form_matches_oracle_on_t4_skeleton_9(classification):
-    # 128 edge permutations: the bound carried between them prunes the most
+    # 128 edge permutations, all starting states of one joint search
     results, _ = classification
     surfaces = [rec.surface() for rec in results[4].records if rec.skeleton_index == 9]
     assert len(surfaces) == 35
     assert _mismatches(surfaces) == []
+
+
+def test_canonical_form_matches_oracle_on_t4_skeleton_2(classification):
+    # skeleton 2 has loops, so its records have one-letter words, whose
+    # edges the search leaves undecided
+    results, _ = classification
+    surfaces = [rec.surface() for rec in results[4].records if rec.skeleton_index == 2]
+    assert len(surfaces) == 1171
+    assert any(len(w) == 1 for f in surfaces for w in f.disks)
+    rng = random.Random(2027)
+    syms = germ_symmetries(surfaces[0].skeleton)
+    images = [Surface(f.skeleton, _image(rng, f.skeleton, f.disks, syms)) for f in surfaces]
+    assert _mismatches(surfaces + images) == []
 
 
 def test_sign_flip_quotient_merges_no_records(classification):

@@ -247,6 +247,14 @@ def test_classify_skeleton_subset():
     assert r.per_skeleton() == {2: 2}
 
 
+def test_classify_rejects_unknown_skeleton_indices(tmp_path):
+    # t=2 has two skeleta; an index past them must fail before any output
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=r"unknown skeleton indices \[0, 7\]"):
+        classify(2, skeleton_indices=[1, 7, 0], out_dir=str(out))
+    assert not out.exists()
+
+
 def test_resume_restarts_on_source_change(tmp_path, monkeypatch):
     out = str(tmp_path / "run")
     computed = []
