@@ -220,6 +220,13 @@ def detect_format(first_line: str) -> str:
     return "native" if first_line.lstrip().startswith("{") else "listing"
 
 
+def file_format(path) -> str:
+    """detect_format of a surface file's first record line."""
+    with open(path, encoding="utf-8") as fh:
+        first = next((l for l in fh if l.strip() and not l.lstrip().startswith("#")), "")
+    return detect_format(first)
+
+
 def read_records(path) -> list[SurfaceRecord]:
     """Read a surface file in either format; parse errors carry line numbers."""
     with open(path, encoding="utf-8") as fh:

@@ -23,7 +23,12 @@ shard plan and job count; output files are byte-identical across runs.
 Results persist per complexity as a JSON-lines surface file plus a manifest
 with options, a fingerprint of the package's sources and content hashes;
 skeletons already present in a manifest of the same options and code are
-skipped on resume.
+skipped on resume.  A scan too long for one run splits into a k-of-m sweep:
+scan_share scans share k of every skeleton with classify's tasks and pool
+and writes a shard file whose header holds the scan options, source
+fingerprint, skeleton, k, m and seconds.  classify takes each skeleton from
+the manifest, else from a complete sweep of matching shard files (reduced
+and stored like a scan), else from a scan.
 """
 
 from __future__ import annotations
@@ -33,11 +38,12 @@ import json
 import os
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from . import algebra, canon, topology
-from .formats import SurfaceRecord, read_records
+from .formats import SurfaceRecord, file_format, normalize_orientations, read_records
 from .skeleta import Skeleton, enumerate_skeleta, skeleton_by_index, skeleton_stats
 from .surfaces import Surface, enumerate_surfaces, trace_gluing, validate_words
 
@@ -113,17 +119,37 @@ def classify_skeleton(
     if shards is None:
         shards = 1 if jobs == 1 else 6 * jobs
     prefixes = shard_prefixes(s, shards)
+    return reduce_survivors(s, _scan(s, prefixes, min_disk_len, jobs, pool), coset_cap)
+
+
+def _scan(s: Skeleton, prefixes, min_disk_len: int, jobs: int, pool: Pool | None):
+    """Sorted survivors of some prefix ranges of one skeleton, one _scan_shard
+    task per prefix, in the pool (or a local one) when jobs > 1."""
     tasks = [(s.complexity, s.index, min_disk_len, p) for p in prefixes]
     if jobs > 1 and len(tasks) > 1:
         if pool is not None:
-            shard_outputs = pool.map(_scan_shard, tasks)
+            outputs = pool.map(_scan_shard, tasks)
         else:
             with Pool(jobs) as local_pool:
-                shard_outputs = local_pool.map(_scan_shard, tasks)
+                outputs = local_pool.map(_scan_shard, tasks)
     else:
-        shard_outputs = [_scan_shard(t) for t in tasks]
-    survivors = sorted(set().union(*map(set, shard_outputs))) if shard_outputs else []
-    return reduce_survivors(s, survivors, coset_cap)
+        outputs = map(_scan_shard, tasks)
+    return sorted(set().union(*outputs))
+
+
+def scan_share(t: int, k: int, m: int, out_dir: str, min_disk_len: int = 1,
+               jobs: int = 1, progress=None) -> None:
+    """Scan share k of a k-of-m sweep of every skeleton of complexity t and
+    persist its survivors under out_dir for classify(t, out_dir=out_dir) to
+    merge.  Share k of skeleton s is shard_prefixes(s, m)[k-1::m]."""
+    manifest = _Manifest(out_dir, t, min_disk_len)
+    with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
+        for s in enumerate_skeleta(t):
+            started = time.time()
+            survivors = _scan(s, shard_prefixes(s, m)[k - 1 :: m], min_disk_len, jobs, pool)
+            manifest.store_share(s, k, m, survivors, time.time() - started)
+            if progress is not None:
+                progress(s, survivors)
 
 
 def reduce_survivors(
@@ -186,7 +212,9 @@ def classify(
     """Classify complexity t end to end.
 
     With out_dir, results persist incrementally per skeleton and a matching
-    interrupted run resumes where it stopped.
+    interrupted run resumes where it stopped.  A skeleton not in the
+    manifest is reduced from a complete scan_share sweep of matching shard
+    files when out_dir holds one.
     """
     if t < 1:
         raise ValueError("complexity must be at least 1")
@@ -203,26 +231,27 @@ def classify(
     if out_dir is not None:
         manifest = _Manifest(out_dir, t, min_disk_len, coset_cap)
 
-    pool = Pool(jobs) if jobs > 1 else None
-    try:
+    with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
         for s in skeleta:
             if manifest is not None and manifest.has_skeleton(s.index):
                 records = manifest.load_skeleton(s.index)
             else:
                 started = time.time()
-                records = classify_skeleton(
-                    s, min_disk_len, jobs=jobs, shards=shards,
-                    coset_cap=coset_cap, pool=pool,
-                )
+                sweep = manifest.shard_sweep(s) if manifest is not None else None
+                if sweep is not None:
+                    survivors, scan_seconds = sweep
+                    started -= scan_seconds
+                    records = reduce_survivors(s, survivors, coset_cap)
+                else:
+                    records = classify_skeleton(
+                        s, min_disk_len, jobs=jobs, shards=shards,
+                        coset_cap=coset_cap, pool=pool,
+                    )
                 if manifest is not None:
                     manifest.store_skeleton(s.index, records, time.time() - started)
             if progress is not None:
                 progress(s, records)
             result.records.extend(records)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
     result.sign_flip_merges = find_sign_flip_merges(r.surface() for r in result.records)
     if manifest is not None:
         manifest.finalize(result)
@@ -263,17 +292,21 @@ def source_fingerprint() -> str:
 
 
 class _Manifest:
-    """Per-complexity run state: options, per-skeleton part files, hashes."""
+    """Per-complexity run state: options, per-skeleton part files, hashes,
+    and the shard files of k-of-m sweeps."""
 
-    def __init__(self, out_dir: str, t: int, min_disk_len: int, coset_cap: int):
+    def __init__(self, out_dir: str, t: int, min_disk_len: int,
+                 coset_cap: int = algebra.DEFAULT_COSET_CAP):
         self.dir = out_dir
         self.t = t
-        self.options = {
+        # what a scan depends on; every shard file's header records it
+        self.scan_options = {
             "complexity": t,
             "min_disk_len": min_disk_len,
-            "coset_cap": coset_cap,
             "source": source_fingerprint(),
         }
+        self.options = dict(self.scan_options, coset_cap=coset_cap)
+        self.shard_dir = os.path.join(out_dir, "shards")
         os.makedirs(out_dir, exist_ok=True)
         self.path = os.path.join(out_dir, f"manifest_t{t}.json")
         from . import __version__
@@ -320,6 +353,37 @@ class _Manifest:
         }
         self._write()
 
+    def store_share(self, s: Skeleton, k: int, m: int, survivors, elapsed: float) -> None:
+        os.makedirs(self.shard_dir, exist_ok=True)
+        header = dict(self.scan_options, skeleton=s.index, k=k, m=m, seconds=round(elapsed, 2))
+        path = os.path.join(self.shard_dir, f"t{self.t}_g{s.index}_shard{k}of{m}.txt")
+        with open(path + ".tmp", "w", encoding="utf-8") as fh:
+            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+            fh.writelines(",".join(map(str, cfg)) + "\n" for cfg in survivors)
+        os.replace(path + ".tmp", path)
+
+    def shard_sweep(self, s: Skeleton) -> tuple[set, float] | None:
+        """(survivors, summed scan seconds) of a complete k-of-m sweep of
+        skeleton s under these scan options, or None.  The plan is read from
+        the shard headers; every complete plan has the same survivors, and
+        the one with the fewest shares is read."""
+        plans: dict = {}  # m -> k -> (path, seconds)
+        names = os.listdir(self.shard_dir) if os.path.isdir(self.shard_dir) else ()
+        for name in names:
+            if name.endswith(".txt"):
+                path = os.path.join(self.shard_dir, name)
+                header = _shard_header(path)
+                g, k, m, seconds = (header.pop(key, None)
+                                    for key in ("skeleton", "k", "m", "seconds"))
+                if g == s.index and header == self.scan_options:
+                    plans.setdefault(m, {})[k] = (path, seconds)
+        for m, shares in sorted(plans.items()):
+            if set(shares) == set(range(1, m + 1)):
+                survivors = {cfg for path, _ in shares.values()
+                             for cfg in _read_shard(path, s.n_edges)}
+                return survivors, sum(seconds for _, seconds in shares.values())
+        return None
+
     def finalize(self, result: ClassificationResult) -> None:
         combined = os.path.join(self.dir, f"surfaces_t{self.t}.jsonl")
         tmp = combined + ".tmp"
@@ -349,6 +413,29 @@ class _Manifest:
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(self.state, fh, indent=1, sort_keys=True)
         os.replace(tmp, self.path)
+
+
+def _shard_header(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+    try:
+        return dict(json.loads(first.removeprefix("# ")))
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}:1: not a shard file header") from None
+
+
+def _read_shard(path: str, n_edges: int):
+    """The configurations of a shard file; a bad line fails with its number."""
+    with open(path, encoding="utf-8") as fh:
+        next(fh)  # the header
+        for n, line in enumerate(fh, start=2):
+            try:
+                cfg = tuple(int(x) for x in line.split(","))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{n}: {exc}") from None
+            if len(cfg) != n_edges or min(cfg) < 0 or max(cfg) > 5:
+                raise ValueError(f"{path}:{n}: not a configuration of {n_edges} edges")
+            yield cfg
 
 
 def _sha256(path: str) -> str:
@@ -468,12 +555,13 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
     canon.geometric_key) is a `duplicate` mismatch.  Records that only the
     coarser published sign-flip quotient puts in one class are not an error
     (the classifier keeps them apart); they are listed as (first, later)
-    pairs in report["sign_flip_merges"].  Mismatches are collected, not
-    raised; parse errors abort with line info.
+    pairs in report["sign_flip_merges"].  A native record not in its class's
+    canonical words (canon.geometric_form, as classify writes them) is a
+    `representative` mismatch; published listing rows are exempt.
+    Mismatches are collected, not raised; parse errors abort with line info.
     """
-    from .formats import normalize_orientations  # local to avoid cycle noise
-
     records = read_records(path)
+    native = file_format(path) == "native"
     report = {"records": len(records), "mismatches": [], "verified": 0}
     first_of_class: dict[tuple, int] = {}  # (complexity, skeleton, key) -> record
     distinct: list[Surface | None] = []  # valid records of a class not seen yet
@@ -491,12 +579,14 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
         if not v:
             problems.append(("validity", f"{v.kind}: {v.detail}"))
         else:
-            cls = (rec.complexity, rec.skeleton_index, canon.geometric_key(f))
-            first = first_of_class.setdefault(cls, n)
+            key = canon.geometric_key(f)
+            first = first_of_class.setdefault((rec.complexity, rec.skeleton_index, key), n)
             if first != n:
                 problems.append(("duplicate", f"same class as record {first}"))
             else:
                 distinct[-1] = f
+            if native and canon.encode_words(rec.disks) != key:
+                problems.append(("representative", "not the canonical words of its class"))
             acyclic = algebra.is_acyclic(f)
             if rec.acyclic is not None and acyclic != rec.acyclic:
                 problems.append(("acyclic", f"derived {acyclic}"))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -192,16 +193,16 @@ def test_cli_classify_and_tables(tmp_path, capsys):
     assert cli.main(["tables", "--max-complexity", "3", "--out", out]) == 1
 
 
-def test_cli_shard_sweep_matches_direct_run(tmp_path, capsys):
-    direct = classify(2)
+@pytest.mark.parametrize("t, jobs", ((2, "1"), (3, "2")), ids=("t2", "t3-jobs2"))
+def test_cli_shard_sweep_matches_direct_run(tmp_path, capsys, t, jobs):
+    direct = classify(t)
     out = str(tmp_path / "sharded")
+    argv = ["classify", "--complexity", str(t), "--out", out]
     for k in ("1", "2", "3"):
-        assert cli.main(
-            ["classify", "--complexity", "2", "--shard", f"{k}/3", "--out", out]
-        ) == 0
-    assert cli.main(["classify", "--complexity", "2", "--out", out]) == 0
+        assert cli.main(argv + ["--shard", f"{k}/3", "--jobs", jobs]) == 0
+    assert cli.main(argv) == 0
     capsys.readouterr()
-    merged = read_records(os.path.join(out, "surfaces_t2.jsonl"))
+    merged = read_records(os.path.join(out, f"surfaces_t{t}.jsonl"))
     assert merged == direct.records
 
 
@@ -341,3 +342,72 @@ def test_cli_merged_skeleta_record_shard_scan_seconds(tmp_path, capsys):
     state = json.load(open(os.path.join(out, "manifest_t2.json")))
     assert [meta["seconds"] >= 10.0 for meta in state["skeletons"].values()] == [True, True]
     assert read_records(os.path.join(out, "surfaces_t2.jsonl")) == classify(2).records
+
+
+def _counting(monkeypatch, name):
+    """Skeleton indices of every call of pipeline.<name> from now on."""
+    calls = []
+    real = getattr(pipeline, name)
+
+    def counting(s, *args, **kwargs):
+        calls.append(s.index)
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, counting)
+    return calls
+
+
+def test_merge_takes_the_complete_plan_among_mixed_plans(tmp_path, monkeypatch):
+    out = str(tmp_path / "runs")
+    for k in (1, 2):
+        pipeline.scan_share(2, k, 2, out)
+    pipeline.scan_share(2, 1, 3, out)  # a stray share of another plan
+    scanned = _counting(monkeypatch, "classify_skeleton")
+    assert classify(2, out_dir=out).records == classify(2).records
+    assert scanned == [1, 2]  # only the direct run scanned: the 2/2 sweep merged
+
+
+def test_rerun_after_merge_loads_from_the_manifest(tmp_path, monkeypatch):
+    out = str(tmp_path / "runs")
+    for k in (1, 2):
+        pipeline.scan_share(2, k, 2, out, min_disk_len=3)
+    reduced = _counting(monkeypatch, "reduce_survivors")
+    first = classify(2, min_disk_len=3, out_dir=out)
+    assert reduced == [1, 2]
+    second = classify(2, min_disk_len=3, out_dir=out)
+    assert reduced == [1, 2]  # no reduce on the second run
+    assert _digest(first) == _digest(second)
+
+
+@pytest.mark.parametrize("line, problem", (
+    ("0,1,", "invalid literal for int"),  # a truncated line
+    ("0,1,2", "not a configuration of 4 edges"),
+    ("0,1,2,6", "not a configuration of 4 edges"),
+))
+def test_bad_shard_line_fails_with_file_and_line(tmp_path, line, problem):
+    out = str(tmp_path / "runs")
+    pipeline.scan_share(2, 1, 1, out)
+    path = os.path.join(out, "shards", "t2_g1_shard1of1.txt")
+    lines = open(path).read().splitlines()
+    lines[2] = line
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: {problem}")):
+        classify(2, out_dir=out)
+
+
+def test_verify_reports_a_representative_not_in_canonical_form(tmp_path):
+    out = str(tmp_path / "run")
+    classify(2, out_dir=out)
+    path = tmp_path / "run" / "surfaces_t2.jsonl"
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[0])
+    word = rec["disks"][-1]
+    rec["disks"][-1] = word[1:] + word[:1]  # the same surface, one word rotated
+    lines[0] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    report = verify_file(str(path))
+    assert report["verified"] == 16
+    assert report["mismatches"] == [{
+        "record": 1, "field": "representative",
+        "got": "not the canonical words of its class",
+    }]
