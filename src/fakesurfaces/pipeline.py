@@ -6,9 +6,10 @@ processes), acyclic survivors are collected as configuration tuples, and the
 reducer quotients them by the germ symmetries.  The scan is one
 explicit-stack DFS kernel (surfaces.enumerate_surfaces with the non-tree
 edges as columns): it builds each curve's boundary row as its path closes,
-stops before the last two edges and looks both edges' closures up per
-pairing of their open path ends in a table cached per skeleton, so a leaf
-costs one determinant and no word is traced.  Words are
+skips a child near the end when no completion can close the curves still
+needed, stops before the last two edges and looks both edges' closures up
+per pairing of their open path ends; both tables are cached per skeleton, so
+a leaf costs one determinant and no word is traced.  Words are
 traced only for the orbit representatives in the reduce.  The reducer walks
 the survivor set in order; each unseen configuration's orbit is marked and
 contributes one class whose representative is the orbit-minimal
@@ -24,8 +25,9 @@ Results persist per complexity as a JSON-lines surface file plus a manifest
 with options, a fingerprint of the package's sources and content hashes;
 skeletons already present in a manifest of the same options and code are
 skipped on resume.  A scan too long for one run splits into a k-of-m sweep:
-scan_share scans share k of every skeleton with classify's tasks and pool
-and writes a shard file whose header holds the scan options, source
+scan_share scans share k of every skeleton, at least SHARE_TASKS prefix
+ranges of it whatever the job count, with classify's tasks and pool and
+writes a shard file whose header holds the scan options, source
 fingerprint, skeleton, k, m and seconds.  classify takes each skeleton from
 the manifest, else from a complete sweep of matching shard files (reduced
 and stored like a scan), else from a scan.
@@ -48,6 +50,8 @@ from .skeleta import Skeleton, enumerate_skeleta, skeleton_by_index, skeleton_st
 from .surfaces import Surface, enumerate_surfaces, trace_gluing, validate_words
 
 OUT_DIR_ENV = "FAKESURFACES_OUT"
+# the least number of scan tasks per skeleton in one share of a k-of-m sweep
+SHARE_TASKS = 36
 
 
 def default_out_dir() -> str:
@@ -141,12 +145,16 @@ def scan_share(t: int, k: int, m: int, out_dir: str, min_disk_len: int = 1,
                jobs: int = 1, progress=None) -> None:
     """Scan share k of a k-of-m sweep of every skeleton of complexity t and
     persist its survivors under out_dir for classify(t, out_dir=out_dir) to
-    merge.  Share k of skeleton s is shard_prefixes(s, m)[k-1::m]."""
+    merge.  Share k of skeleton s is shard_prefixes(s, SHARE_TASKS * m)[k-1::m],
+    so a share has SHARE_TASKS scan tasks or more to spread over its jobs
+    (fewer only when the skeleton has fewer gluings); the plan depends on m
+    alone."""
     manifest = _Manifest(out_dir, t, min_disk_len)
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
         for s in enumerate_skeleta(t):
             started = time.time()
-            survivors = _scan(s, shard_prefixes(s, m)[k - 1 :: m], min_disk_len, jobs, pool)
+            prefixes = shard_prefixes(s, SHARE_TASKS * m)[k - 1 :: m]
+            survivors = _scan(s, prefixes, min_disk_len, jobs, pool)
             manifest.store_share(s, k, m, survivors, time.time() - started)
             if progress is not None:
                 progress(s, survivors)

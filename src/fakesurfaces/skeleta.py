@@ -220,15 +220,8 @@ class Skeleton:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def germ_vertex(self, germ: int) -> int:
-        return germ // 4
-
     def edge_end_germ(self, edge: int, head: bool) -> int:
         return self.edge_head_germ[edge] if head else self.edge_tail_germ[edge]
-
-    def describe(self) -> str:
-        rows = " ".join("".join(str(a) for a in row) for row in self.matrix)
-        return f"skeleton t={self.complexity} #{self.index} [{rows}]"
 
 
 def build_skeleton(matrix: Matrix, complexity: int, index: int) -> Skeleton:

@@ -317,16 +317,18 @@ def _kernel_tables(s: Skeleton, columns: tuple[int, ...]):
     counts over `columns`, read from that end, one balanced base-16 digit
     per column (no curve crosses an edge more than three times, so digits
     stay within [-3, 3] and packed integers add like their vectors).
-    Returns (fwd, bwd, shift, tails): fwd[e] and bwd[e] pack one sheet of
-    edge e crossed tail to head and head to tail; tails is the _TailTable of
-    the last two edges.  Cached per (skeleton, columns), so every prefix
-    shard a process scans shares one tail table.
+    Returns (fwd, bwd, shift, tails, counts): fwd[e] and bwd[e] pack one
+    sheet of edge e crossed tail to head and head to tail; tails is the
+    _TailTable of the last two edges and counts the _CountLookahead of the
+    edges above them.  Cached per (skeleton, columns), so every prefix shard
+    a process scans shares both tables.
     """
     shift = (3 * s.n_edges).bit_length()
     digit = {label: 16**j << shift for j, label in enumerate(columns)}
     fwd = tuple(digit.get(e + 1, 0) + 1 for e in range(s.n_edges))
     bwd = tuple(-digit.get(e + 1, 0) + 1 for e in range(s.n_edges))
-    return fwd, bwd, shift, _TailTable(6 * (s.n_edges - 2), fwd[-2:], bwd[-2:])
+    tails = _TailTable(6 * (s.n_edges - 2), fwd[-2:], bwd[-2:])
+    return fwd, bwd, shift, tails, _CountLookahead(6 * s.n_edges, s.complexity + 1)
 
 
 # every (p, q) pair of permutations of the last two edges, in mixed-radix order
@@ -379,6 +381,72 @@ class _TailTable(dict):
         return by_count
 
 
+# the number of edges just above the two-edge tail at which the DFS checks
+# the _CountLookahead; measured at t=4 and t=5, two beat one and four
+LOOKAHEAD_EDGES = 2
+
+
+def _glue_edge(key: tuple[int, ...], n_nodes: int, p: tuple[int, int, int]):
+    """(curves closed, key of the edges after) when the first edge of `key`
+    is glued by permutation p; key is the partner of every node of the
+    remaining edges, the last len(key) of the n_nodes."""
+    base = n_nodes - len(key)
+    end = [k - base for k in key]
+    closes = 0
+    for i in range(3):
+        a, b = i, 3 + p[i]
+        if end[a] == b:
+            closes += 1
+        else:
+            ea, eb = end[a], end[b]
+            end[ea], end[eb] = eb, ea
+    return closes, tuple(k + base for k in end[6:])
+
+
+class _CountLookahead(dict):
+    """Which permutations of an edge can still lead to exactly `target`
+    curves, keyed by how the open paths pair the nodes of that edge and all
+    later ones (end[6*e:] in the DFS, absolute node numbers).
+
+    A value is indexed by the number c of curves closed before the edge; its
+    entry is a bitmask over the six permutations p, with bit p set when some
+    permutations of the later edges close target - c curves together with
+    p's own.  It is built from pairings alone: reach(key), the bitmask of
+    curve counts the remaining edges can close, is the union over p of
+    reach(key after p) shifted by the curves p closes, and reach(()) = {0}.
+    The condition is necessary, so the DFS can skip a child that fails it.
+    """
+
+    def __init__(self, n_nodes: int, target: int):
+        super().__init__()
+        self.n_nodes = n_nodes
+        self.target = target
+        self.reach: dict[tuple[int, ...], int] = {(): 1}
+
+    def _reach(self, key: tuple[int, ...]) -> int:
+        r = self.reach.get(key)
+        if r is None:
+            r = 0
+            for p in S3:
+                closes, rest = _glue_edge(key, self.n_nodes, p)
+                r |= self._reach(rest) << closes
+            self.reach[key] = r
+        return r
+
+    def __missing__(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        # per permutation, the bitmask of curve counts it and the later edges
+        # can close; count c before the edge needs bit target - c
+        totals = []
+        for p in S3:
+            closes, rest = _glue_edge(key, self.n_nodes, p)
+            totals.append(self._reach(rest) << closes)
+        out = self[key] = tuple(
+            sum(1 << pi for pi, total in enumerate(totals) if total >> (self.target - c) & 1)
+            for c in range(self.target + 1)
+        )
+        return out
+
+
 class _RowDecoder(dict):
     """Packed traversal counts (length bits shifted off) -> boundary row."""
 
@@ -413,10 +481,14 @@ def enumerate_surfaces(
     counts over `columns` (see _kernel_tables).  Joining two paths adds
     their integers and closing a curve yields its boundary row, so rows are
     built as the paths close and no curve is re-traced.  A branch dies as
-    soon as it closes a short curve or t+1 curves.  The DFS stops before
-    the last two edges: there the open paths pair those edges' twelve nodes,
-    and the curves each of the 36 permutation pairs closes are looked up per
-    pairing in the skeleton's _TailTable instead of walked.  With `prefix`
+    soon as it closes a short curve or t+1 curves.  On the LOOKAHEAD_EDGES
+    edges just above the tail a child is skipped before it is glued when no
+    permutations of the edges after it can close the curves still needed,
+    per the skeleton's _CountLookahead; the cut is on counts alone, so the
+    leaves are the same.  The DFS stops before the last two edges: there the
+    open paths pair those edges' twelve nodes, and the curves each of the 36
+    permutation pairs closes are looked up per pairing in the skeleton's
+    _TailTable instead of walked.  With `prefix`
     the permutations of the first len(prefix) edges are pinned, which shards
     the search space into disjoint, deterministic ranges; a prefix may pin
     one or both tail edges.
@@ -432,7 +504,9 @@ def enumerate_surfaces(
         raise ValueError("prefix longer than the edge list")
     target = s.complexity + 1
     tail = n_edges - 2
-    fwd, bwd, shift, tails = _kernel_tables(s, tuple(columns or ()))
+    # the depths whose children the count lookahead filters
+    look = max(0, tail - LOOKAHEAD_EDGES)
+    fwd, bwd, shift, tails, counts = _kernel_tables(s, tuple(columns or ()))
     mask = (1 << shift) - 1
     rows_of = _RowDecoder(len(columns) if columns is not None else 0)
 
@@ -449,6 +523,10 @@ def enumerate_surfaces(
     paths[0] = [0] * (6 * n_edges)
     closed[0] = ()
     nxt = [c[0] for c in choices]
+    # per depth: the children (bit per permutation) the count lookahead allows
+    allowed = [0b111111] * n_edges
+    if look == 0 < tail:
+        allowed[0] = counts[tuple(ends[0])][0]
 
     e = 0
     while e >= 0:
@@ -480,6 +558,8 @@ def enumerate_surfaces(
             e -= 1
             continue
         nxt[e] = pi + 1
+        if not allowed[e] >> pi & 1:
+            continue
         config[e] = pi
         end = ends[e][:]
         pk = paths[e][:]
@@ -505,3 +585,5 @@ def enumerate_surfaces(
             e += 1
             ends[e], paths[e], closed[e] = end, pk, done
             nxt[e] = choices[e][0]
+            if look <= e < tail:
+                allowed[e] = counts[tuple(end[6 * e :])][len(done)]

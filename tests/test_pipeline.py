@@ -367,6 +367,23 @@ def test_merge_takes_the_complete_plan_among_mixed_plans(tmp_path, monkeypatch):
     assert scanned == [1, 2]  # only the direct run scanned: the 2/2 sweep merged
 
 
+def test_a_share_gives_every_skeleton_many_scan_tasks(tmp_path, monkeypatch):
+    tasks = []
+    real = pipeline._scan_shard
+
+    def counting(args):
+        tasks.append(args)
+        return real(args)
+
+    monkeypatch.setattr(pipeline, "_scan_shard", counting)
+    pipeline.scan_share(2, 2, 3, str(tmp_path / "runs"))
+    for s in pipeline.enumerate_skeleta(2):
+        prefixes = [prefix for _, index, _, prefix in tasks if index == s.index]
+        # share 2 of 3 is every third of the 216 depth-3 prefixes
+        assert len(prefixes) == 72 >= pipeline.SHARE_TASKS
+        assert prefixes == pipeline.shard_prefixes(s, 216)[1::3]
+
+
 def test_rerun_after_merge_loads_from_the_manifest(tmp_path, monkeypatch):
     out = str(tmp_path / "runs")
     for k in (1, 2):

@@ -1,12 +1,17 @@
 """The scan kernel against independent oracles: traced words, a brute-force
-filter of every gluing, and its own prefix shards, including prefixes that
-pin the edges whose closures the kernel looks up."""
+filter of every gluing, its own prefix shards, including prefixes that pin
+the edges whose closures the kernel looks up, and brute-force curve counts
+for the count lookahead."""
+
+import hashlib
+import itertools
 
 import pytest
 
-from fakesurfaces import algebra, pipeline
+from fakesurfaces import algebra, pipeline, surfaces
 from fakesurfaces.skeleta import enumerate_skeleta, skeleton_by_index
 from fakesurfaces.surfaces import (
+    S3,
     Surface,
     _kernel_tables,
     all_gluing_configs,
@@ -82,10 +87,87 @@ def test_prefix_shards_of_a_skeleton_share_one_tail_table():
     for p in pipeline.shard_prefixes(s, 36):
         pipeline._scan_shard((4, s.index, 3, p))
     assert _kernel_tables.cache_info().misses == 1
-    tails = _kernel_tables(s, columns)[3]
-    pairings = len(tails)
-    assert pairings > 0
+    tails, counts = _kernel_tables(s, columns)[3:]
+    pairings, keys = len(tails), len(counts)
+    assert pairings > 0 and keys > 0
     # the unsharded scan meets no pairing the shards did not fill in
     pipeline._scan_shard((4, s.index, 3, ()))
     assert _kernel_tables.cache_info().misses == 1
-    assert len(tails) == pairings
+    assert (len(tails), len(counts)) == (pairings, keys)
+
+
+def _curve_counts(key, n_nodes):
+    """Per permutation p of the first remaining edge, the set of curve counts
+    over every gluing of the remaining edges that glues it by p.  A curve is
+    a cycle of the open paths' pairing (key) and the sheets' pairing."""
+    base = n_nodes - len(key)
+    path = {base + k: partner for k, partner in enumerate(key)}
+    n_remaining = len(key) // 6
+    counts = [set() for _ in S3]
+    for perms in itertools.product(range(6), repeat=n_remaining):
+        sheet = {}
+        for j, pi in enumerate(perms):
+            for i in range(3):
+                a, b = base + 6 * j + i, base + 6 * j + 3 + S3[pi][i]
+                sheet[a], sheet[b] = b, a
+        seen = set()
+        curves = 0
+        for start in path:
+            if start in seen:
+                continue
+            curves += 1
+            node = start
+            while node not in seen:
+                seen.add(node)
+                seen.add(path[node])
+                node = sheet[path[node]]
+        counts[perms[0]].add(curves)
+    return counts
+
+
+@pytest.mark.parametrize("t, index", [(t, s.index) for t in (1, 2, 3)
+                                      for s in enumerate_skeleta(t)] + [(4, 10)])
+def test_count_lookahead_equals_brute_force_curve_counts(t, index):
+    s = skeleton_by_index(t, index)
+    columns = algebra.boundary_columns(s)
+    for _ in enumerate_surfaces(s, columns=columns):
+        pass
+    lookahead = _kernel_tables(s, tuple(columns))[4]
+    if s.n_edges > 2:
+        assert lookahead  # every key the scan met at the edges above the tail
+    for key, allowed in lookahead.items():
+        counts = _curve_counts(key, 6 * s.n_edges)
+        want = tuple(
+            sum(1 << pi for pi in range(6) if t + 1 - closed in counts[pi])
+            for closed in range(t + 2)
+        )
+        assert allowed == want, (key, allowed, want)
+
+
+class _EveryCount(dict):
+    """A count lookahead that allows every child."""
+
+    def __missing__(self, key):
+        return (0b111111,) * 64
+
+
+def _stream_digest(s, min_disk_len):
+    h = hashlib.sha256()
+    columns = algebra.boundary_columns(s)
+    for cfg, rows in enumerate_surfaces(s, min_disk_len=min_disk_len, columns=columns):
+        h.update(repr((cfg, rows)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("min_disk_len, indices", ((1, (2, 9)), (3, range(1, 11))),
+                         ids=("len1-skeleta-2-9", "len3-all-skeleta"))
+def test_count_lookahead_keeps_the_leaf_stream(monkeypatch, min_disk_len, indices):
+    skeleta = [skeleton_by_index(4, i) for i in indices]
+    pruned = [_stream_digest(s, min_disk_len) for s in skeleta]
+    for s in skeleta:
+        masks = _kernel_tables(s, tuple(algebra.boundary_columns(s)))[4].values()
+        assert any(m != 0b111111 for allowed in masks for m in allowed)  # it cuts
+    real = surfaces._kernel_tables
+    monkeypatch.setattr(surfaces, "_kernel_tables",
+                        lambda s, columns: real(s, columns)[:4] + (_EveryCount(),))
+    assert [_stream_digest(s, min_disk_len) for s in skeleta] == pruned
