@@ -8,7 +8,7 @@ detected by the triod bundle of the long disk.
 
 from fakesurfaces.skeleta import skeleton_by_index
 from fakesurfaces.surfaces import Surface, corners_of, validate_words
-from fakesurfaces.topology import disk_flags, is_spine
+from fakesurfaces.topology import disk_flags
 from fakesurfaces.algebra import (
     boundary_matrix,
     det_bareiss,
@@ -32,8 +32,9 @@ for name, f in (("abalone", abalone), ("non-spine", nonspine)):
     print("  corners at the vertex (six sectors, each once):", sorted(corners))
     m = boundary_matrix(f)
     print(f"  boundary matrix {m}, determinant {det_bareiss(m)}, acyclic: {is_acyclic(f)}")
-    print("  per-disk (embedded, trivial bundle):", disk_flags(f))
-    print("  spine:", is_spine(f))
+    flags = disk_flags(f)
+    print("  per-disk (embedded, trivial bundle):", flags)
+    print("  spine:", all(trivial for _, trivial in flags))
     p = tietze_simplify(presentation_of(f))
     print(f"  fundamental group after simplification: {p.ngens} generators,"
           f" verdict {pi1_trivial(f).status}")

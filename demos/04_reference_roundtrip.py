@@ -8,11 +8,9 @@ below exhibit it and separate it from its nearest published neighbor by an
 intrinsic invariant.
 """
 
-from fakesurfaces.algebra import is_acyclic
-from fakesurfaces.canon import canonical_key, dedupe
+from fakesurfaces.canon import canonical_key
 from fakesurfaces.formats import ingest_row, load_reference_listing
-from fakesurfaces.skeleta import skeleton_by_index
-from fakesurfaces.surfaces import Surface, enumerate_surfaces
+from fakesurfaces.pipeline import classify
 from fakesurfaces.topology import disk_flags
 
 flag_hits = flag_total = 0
@@ -26,22 +24,21 @@ for t in (1, 2, 3):
         keys.setdefault((t, row.skeleton_index), set()).add(canonical_key(f))
 print(f"re-derived printed flags: {flag_hits}/{flag_total} match")
 
+classes = {}
+for t in (1, 2, 3):
+    for r in classify(t).records:
+        classes.setdefault((t, r.skeleton_index), []).append(r)
+
 print("\nper-skeleton class counts, printed vs enumerated:")
 for (t, idx), printed in sorted(keys.items()):
-    s = skeleton_by_index(t, idx)
-    surfaces = [
-        Surface(s, w)
-        for cfg, w in enumerate_surfaces(s)
-        if is_acyclic(Surface(s, w))
-    ]
-    mine = {canonical_key(f): f for f in dedupe(surfaces)}
+    mine = {canonical_key(r.surface()): r for r in classes[(t, idx)]}
     marker = "" if len(mine) == len(printed) else "   <-- printed list is short"
     print(f"  t={t} skeleton {idx}: printed {len(printed)}, enumerated {len(mine)}{marker}")
     for extra in set(mine) - printed:
-        f = mine[extra]
-        print(f"     unlisted class: {f.disks}")
-        print(f"     flags {disk_flags(f)}")
-        big = max(f.disks, key=len)
+        r = mine[extra]
+        print(f"     unlisted class: {r.disks}")
+        print(f"     flags {list(r.flags)}")
+        big = max(r.disks, key=len)
         print(f"     its {len(big)}-letter disk traverses "
               f"{len({abs(x) for x in big})} distinct edges; the only printed "
               f"class with the same lengths and flags traverses one fewer, "

@@ -27,6 +27,6 @@ from .surfaces import (
     trace_gluing,
     validate_words,
 )
-from .canon import canonical_form, canonical_key, dedupe, geometric_form, normalize_word
+from .canon import canonical_form, canonical_key, geometric_form, normalize_word
 
 __version__ = "0.1.0"

@@ -17,35 +17,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .skeleta import Skeleton
+from .skeleta import boundary_columns, spanning_tree
 from .surfaces import Surface
 
 Word = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# spanning tree and boundary matrix
-
-
-def spanning_tree(s: Skeleton) -> tuple[int, ...]:
-    """Smallest-label greedy spanning tree, as 1-based edge labels."""
-    parent = list(range(s.complexity))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = []
-    for e, (tv, hv) in enumerate(s.edges):
-        ru, rv = find(tv), find(hv)
-        if ru != rv:
-            parent[ru] = rv
-            tree.append(e + 1)
-    if len(tree) != s.complexity - 1:
-        raise ValueError("skeleton is not connected")
-    return tuple(tree)
+# tree collapse and boundary matrix
 
 
 def collapse_words(words, tree) -> tuple[Word, ...]:
@@ -63,12 +42,6 @@ def collapse_words(words, tree) -> tuple[Word, ...]:
             r = [x - 1 if x > t else (x + 1 if x < -t else x) for x in r]
         out.append(tuple(r))
     return tuple(out)
-
-
-def boundary_columns(s: Skeleton, tree=None) -> tuple[int, ...]:
-    """Labels of the non-tree edges, ascending: the boundary matrix columns."""
-    tree_set = set(spanning_tree(s) if tree is None else tree)
-    return tuple(e for e in range(1, s.n_edges + 1) if e not in tree_set)
 
 
 def boundary_matrix(f: Surface, tree=None) -> list[list[int]]:
@@ -116,80 +89,6 @@ def det_bareiss(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det_cofactor(matrix) -> int:
-    """Cofactor-expansion determinant; the independent cross-check oracle."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * det_cofactor(minor)
-    return total
-
-
-def smith_normal_form(matrix) -> list[int]:
-    """Invariant factors of an integer matrix (non-negative, divisibility
-    chain, zeros trailing)."""
-    m = [list(row) for row in matrix]
-    rows, cols = len(m), len(m[0]) if m else 0
-    factors = []
-    r = 0
-    while r < min(rows, cols):
-        # find a pivot of minimal absolute value
-        pivot = None
-        for i in range(r, rows):
-            for j in range(r, cols):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        m[r], m[i] = m[i], m[r]
-        for row in m:
-            row[r], row[j] = row[j], row[r]
-        clean = False
-        while not clean:
-            clean = True
-            for i in range(r + 1, rows):
-                q = m[i][r] // m[r][r]
-                if q:
-                    for j in range(cols):
-                        m[i][j] -= q * m[r][j]
-                if m[i][r]:
-                    m[r], m[i] = m[i], m[r]
-                    clean = False
-            for j in range(r + 1, cols):
-                q = m[r][j] // m[r][r]
-                if q:
-                    for row in m:
-                        row[j] -= q * row[r]
-                if m[r][j]:
-                    for row in m:
-                        row[r], row[j] = row[j], row[r]
-                    clean = False
-        factors.append(abs(m[r][r]))
-        r += 1
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            a, b = factors[i], factors[i + 1]
-            if a and b % a:
-                import math
-
-                g = math.gcd(a, b)
-                factors[i], factors[i + 1] = g, a * b // g
-                changed = True
-    return factors
-
-
 def is_acyclic(f: Surface) -> bool:
     """Reduced integer homology vanishes iff the boundary determinant is a
     unit."""
@@ -223,9 +122,6 @@ class Presentation:
             for x in r:
                 counts[abs(x) - 1] += 1
         return counts
-
-    def total_length(self) -> int:
-        return sum(len(r) for r in self.relators)
 
     def gen_name(self, i: int) -> str:
         if self.names and i <= len(self.names):

@@ -23,11 +23,12 @@ canonical_form quotients by a slightly larger group that also negates all
 occurrences of any single edge as a pure string move, matching the move
 list the reference classification was reduced with; see the note above
 _letter_tables.  It is one exact search over every edge permutation at
-once (_min_signed_list).  The classifier's reduce and dedupe below both
-quotient by configuration orbits alone (the geometric quotient).  The
-published quotient is a cross-check that merges nothing: classify and
-verify report any two classes it would merge, and it merges none at
-complexity 4 and below nor among the 111,460 classes of complexity 5.
+once (_min_signed_list).  The classifier's reduce quotients by
+configuration orbits alone (the geometric quotient); surfaces are deduped
+by comparing their geometric_key.  The published quotient is a cross-check
+that merges nothing: classify and verify report any two classes it would
+merge, and it merges none at complexity 4 and below nor among the 111,460
+classes of complexity 5.
 """
 
 from __future__ import annotations
@@ -161,16 +162,6 @@ def _config_transforms(s: Skeleton):
     return tuple(tables)
 
 
-def transform_config(s: Skeleton, sym_index: int, config: GluingConfig) -> GluingConfig:
-    table = _config_transforms(s)[sym_index]
-    syms = germ_symmetries(s)
-    perm = syms[sym_index].edge_perm
-    out = [0] * len(config)
-    for e, pi in enumerate(config):
-        out[perm[e]] = table[e][pi]
-    return tuple(out)
-
-
 def config_orbit(s: Skeleton, config: GluingConfig) -> set[GluingConfig]:
     """All configurations reachable by the move group (the group is closed,
     so one application of every element suffices)."""
@@ -186,17 +177,13 @@ def config_orbit(s: Skeleton, config: GluingConfig) -> set[GluingConfig]:
     return orbit
 
 
-def canonical_config(s: Skeleton, config: GluingConfig) -> GluingConfig:
-    return min(config_orbit(s, config))
-
-
 def geometric_form(f: Surface) -> tuple[Word, ...]:
     """Canonical word list modulo homeomorphism: trace the minimal
     configuration in the germ-symmetry orbit, normalize every word, sort.
     Equal geometric forms characterize homeomorphic labeled surfaces."""
-    config = reconstruct_config(f.skeleton, f.disks)
-    best = canonical_config(f.skeleton, config)
-    return normalize_words(trace_gluing(f.skeleton, best))
+    s = f.skeleton
+    best = min(config_orbit(s, reconstruct_config(s, f.disks)))
+    return normalize_words(trace_gluing(s, best))
 
 
 def geometric_key(f: Surface) -> bytes:
@@ -321,22 +308,3 @@ def canonical_form(f: Surface) -> tuple[Word, ...]:
 def canonical_key(f: Surface) -> bytes:
     """Stable byte encoding of the canonical form."""
     return encode_words(canonical_form(f))
-
-
-def dedupe(surfaces) -> list[Surface]:
-    """One representative per homeomorphism class (geometric_key), sorted by
-    key: the quotient the classifier applies.
-
-    All surfaces must share one skeleton.  The representative kept for each
-    class is its geometric form, the words the classifier stores for it.
-    """
-    seen: dict[bytes, Surface] = {}
-    skeleton = None
-    for f in surfaces:
-        if skeleton is None:
-            skeleton = f.skeleton
-        elif f.skeleton is not skeleton and f.skeleton != skeleton:
-            raise ValueError("dedupe expects surfaces over a single skeleton")
-        form = geometric_form(f)
-        seen.setdefault(encode_words(form), Surface(f.skeleton, form))
-    return [seen[k] for k in sorted(seen)]

@@ -1,19 +1,21 @@
-"""End-to-end classification: enumerate, filter, dedupe, flag, certify.
+"""End-to-end classification: enumerate, filter, quotient, flag, certify.
 
 For each skeleton of the requested complexity the gluing space is scanned
 (optionally sharded into fixed prefix ranges and farmed out to worker
 processes), acyclic survivors are collected as configuration tuples, and the
 reducer quotients them by the germ symmetries.  The scan is one
-explicit-stack DFS kernel (surfaces.enumerate_surfaces with the non-tree
-edges as columns): it builds each curve's boundary row as its path closes,
-skips a child near the end when no completion can close the curves still
-needed, stops before the last two edges and looks both edges' closures up
-per pairing of their open path ends; both tables are cached per skeleton, so
-a leaf costs one determinant and no word is traced.  Words are
-traced only for the orbit representatives in the reduce.  The reducer walks
-the survivor set in order; each unseen configuration's orbit is marked and
-contributes one class whose representative is the orbit-minimal
-configuration.  That orbit is the only quotient applied.  The published,
+explicit-stack DFS kernel (surfaces.enumerate_surfaces): it builds each
+curve's boundary row as its path closes, skips a child near the end when no
+completion can close the curves still needed, stops before the last two
+edges and looks both edges' closures up per pairing of their open path
+ends; both tables are cached per skeleton, so a leaf costs one determinant
+and no word is traced.  The prefix ranges' survivors are concatenated in
+range order.  Words are traced only for the orbit representatives in the
+reduce, which keeps one set of survivors not yet in a reduced orbit: each
+survivor still in it removes its orbit and contributes one class whose
+representative is the orbit-minimal configuration.  That orbit is the only
+quotient applied.  Flags, the spine rule and the pi1 verdict of a class are
+derived by one helper that verify_file shares.  The published,
 coarser sign-flip key (canon.canonical_key) is computed once per class
 after the reduce and never merges anything: the pairs of classes it would
 merge are reported (ClassificationResult.sign_flip_merges, the manifest,
@@ -94,9 +96,7 @@ def _scan_shard(args) -> list[tuple[int, ...]]:
     range of one skeleton's gluing space."""
     complexity, index, min_disk_len, prefix = args
     s = skeleton_by_index(complexity, index)
-    leaves = enumerate_surfaces(
-        s, min_disk_len=min_disk_len, prefix=prefix, columns=algebra.boundary_columns(s)
-    )
+    leaves = enumerate_surfaces(s, min_disk_len=min_disk_len, prefix=prefix)
     return [cfg for cfg, rows in leaves if abs(algebra.det_bareiss(rows)) == 1]
 
 
@@ -127,8 +127,10 @@ def classify_skeleton(
 
 
 def _scan(s: Skeleton, prefixes, min_disk_len: int, jobs: int, pool: Pool | None):
-    """Sorted survivors of some prefix ranges of one skeleton, one _scan_shard
-    task per prefix, in the pool (or a local one) when jobs > 1."""
+    """Survivors of some prefix ranges of one skeleton, one _scan_shard task
+    per prefix, in the pool (or a local one) when jobs > 1.  Each range comes
+    back in mixed-radix order and ranges are disjoint, so ascending prefixes
+    give ascending survivors."""
     tasks = [(s.complexity, s.index, min_disk_len, p) for p in prefixes]
     if jobs > 1 and len(tasks) > 1:
         if pool is not None:
@@ -138,7 +140,7 @@ def _scan(s: Skeleton, prefixes, min_disk_len: int, jobs: int, pool: Pool | None
                 outputs = local_pool.map(_scan_shard, tasks)
     else:
         outputs = map(_scan_shard, tasks)
-    return sorted(set().union(*outputs))
+    return [cfg for output in outputs for cfg in output]
 
 
 def scan_share(t: int, k: int, m: int, out_dir: str, min_disk_len: int = 1,
@@ -171,27 +173,21 @@ def reduce_survivors(
     traces.  The published, coarser sign-flip quotient (canon.canonical_key)
     is not applied here; see find_sign_flip_merges.
     """
-    survivor_set = set(survivors)
-    seen: set = set()
+    remaining = set(survivors)  # not yet in a reduced orbit
     records = []
-    for cfg in sorted(survivor_set):
-        if cfg in seen:
+    for cfg in survivors:
+        if cfg not in remaining:
             continue
+        # orbits are disjoint, so this orbit meets no reduced one
         orbit = canon.config_orbit(s, cfg)
-        if not orbit <= survivor_set:
-            missing = sorted(orbit - survivor_set)[:3]
+        if not orbit <= remaining:
+            missing = sorted(orbit - remaining)[:3]
             raise AssertionError(
                 f"orbit escapes the survivor set at {missing}; shard scan incomplete?"
             )
-        seen |= orbit
+        remaining -= orbit
         words = canon.normalize_words(trace_gluing(s, min(orbit)))
-        f = Surface(s, words)
-        flags = tuple(topology.disk_flags(f))
-        verdict = algebra.pi1_trivial(f, cap=coset_cap)
-        if verdict.status == "finite":
-            pi1 = f"finite:{verdict.order}"
-        else:
-            pi1 = verdict.status
+        flags, spine, pi1 = _derived_claims(Surface(s, words), coset_cap)
         records.append(
             SurfaceRecord(
                 complexity=s.complexity,
@@ -199,12 +195,23 @@ def reduce_survivors(
                 disks=words,
                 flags=flags,
                 acyclic=True,
-                spine=all(t for _, t in flags),
+                spine=spine,
                 pi1=pi1,
             )
         )
     records.sort(key=lambda r: canon.encode_words(r.disks))
     return records
+
+
+def _derived_claims(f: Surface, coset_cap: int):
+    """(flags, spine, pi1) as a surface record stores them: the disk flags,
+    whether every disk's triod bundle is trivial, and the pi1 verdict as
+    "trivial", "finite:<order>" or "inconclusive".  Acyclicity is the
+    caller's to establish; no determinant is taken here."""
+    flags = tuple(topology.disk_flags(f))
+    verdict = algebra.pi1_trivial(f, cap=coset_cap)
+    pi1 = f"finite:{verdict.order}" if verdict.status == "finite" else verdict.status
+    return flags, all(t for _, t in flags), pi1
 
 
 def classify(
@@ -595,13 +602,16 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
                 distinct[-1] = f
             if native and canon.encode_words(rec.disks) != key:
                 problems.append(("representative", "not the canonical words of its class"))
-            acyclic = algebra.is_acyclic(f)
-            if rec.acyclic is not None and acyclic != rec.acyclic:
-                problems.append(("acyclic", f"derived {acyclic}"))
-            if not acyclic:
+            if not algebra.is_acyclic(f):
                 problems.append(("acyclic", "record is not acyclic"))
-            flags = tuple(topology.disk_flags(f))
-            if rec.flags:
+            elif rec.acyclic is False:
+                problems.append(("acyclic", "derived True"))
+            flags, spine, pi1 = _derived_claims(f, coset_cap)
+            if rec.flags and len(rec.flags) != len(flags):
+                problems.append(
+                    ("flags", f"stored {len(rec.flags)} pairs for {len(flags)} disks")
+                )
+            elif rec.flags:
                 for d, (want, got) in enumerate(zip(rec.flags, flags)):
                     if want != got:
                         problems.append(
@@ -610,15 +620,10 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
                                 f"stored {_yn(want)} derived {_yn(got)}",
                             )
                         )
-            spine = all(t for _, t in flags)
             if rec.spine is not None and spine != rec.spine:
                 problems.append(("spine", f"derived {spine}"))
-            verdict = algebra.pi1_trivial(f, cap=coset_cap)
-            derived_pi1 = (
-                f"finite:{verdict.order}" if verdict.status == "finite" else verdict.status
-            )
-            if rec.pi1 is not None and derived_pi1 != rec.pi1:
-                problems.append(("pi1", f"stored {rec.pi1} derived {derived_pi1}"))
+            if rec.pi1 is not None and pi1 != rec.pi1:
+                problems.append(("pi1", f"stored {rec.pi1} derived {pi1}"))
         if problems:
             for fieldname, detail in problems:
                 report["mismatches"].append(

@@ -302,6 +302,33 @@ def skeleton_by_index(t: int, index: int) -> Skeleton:
     return ske[index - 1]
 
 
+def spanning_tree(s: Skeleton) -> tuple[int, ...]:
+    """Smallest-label greedy spanning tree, as 1-based edge labels."""
+    parent = list(range(s.complexity))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    tree = []
+    for e, (tv, hv) in enumerate(s.edges):
+        ru, rv = find(tv), find(hv)
+        if ru != rv:
+            parent[ru] = rv
+            tree.append(e + 1)
+    if len(tree) != s.complexity - 1:
+        raise ValueError("skeleton is not connected")
+    return tuple(tree)
+
+
+def boundary_columns(s: Skeleton, tree=None) -> tuple[int, ...]:
+    """Labels of the non-tree edges, ascending: the boundary matrix columns."""
+    tree_set = set(spanning_tree(s) if tree is None else tree)
+    return tuple(e for e in range(1, s.n_edges + 1) if e not in tree_set)
+
+
 def skeleton_stats(s: Skeleton) -> dict:
     """Self-loop count and girth (1 = loop, 2 = double edge, else shortest
     simple cycle length)."""
@@ -351,27 +378,6 @@ class EdgeRelabeling:
 
     perm: tuple[int, ...]  # perm[e] = image edge label (0-based)
     flip: tuple[bool, ...]
-
-    def apply_letter(self, letter: int) -> int:
-        e = abs(letter) - 1
-        image = self.perm[e] + 1
-        sign = -1 if (letter < 0) != self.flip[e] else 1
-        return sign * image
-
-    def compose(self, other: "EdgeRelabeling") -> "EdgeRelabeling":
-        """self followed by other."""
-        n = len(self.perm)
-        perm = tuple(other.perm[self.perm[e]] for e in range(n))
-        flip = tuple(self.flip[e] != other.flip[self.perm[e]] for e in range(n))
-        return EdgeRelabeling(perm, flip)
-
-    def inverse(self) -> "EdgeRelabeling":
-        n = len(self.perm)
-        inv = [0] * n
-        for e in range(n):
-            inv[self.perm[e]] = e
-        flip = tuple(self.flip[inv[e]] for e in range(n))
-        return EdgeRelabeling(tuple(inv), flip)
 
 
 def _bundles(s: Skeleton) -> dict[tuple[int, int], list[int]]:

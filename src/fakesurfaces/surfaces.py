@@ -15,7 +15,11 @@ each edge the three sheets can be matched between the two ends in 3! ways,
 and the vertex model is rigid, so a choice of one 3-permutation per edge
 determines the whole boundary curve system.  Both singularity conditions
 hold for every gluing by construction; the fake surfaces we keep are the
-gluings with exactly t+1 boundary curves (Euler characteristic 1).
+gluings with exactly t+1 boundary curves (Euler characteristic 1).  The
+scan kernel, enumerate_surfaces, yields each of them with its curves'
+boundary rows over the non-tree edges, the square matrix whose determinant
+decides acyclicity; it traces no word.  trace_gluing gives a gluing's words
+when they are needed.
 
 A sheet slot at an edge end is named by the germ it faces: the sheet of edge
 a lying in the sector {a, x} at a vertex is the slot x.  A strand arriving
@@ -29,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .skeleta import Skeleton
+from .skeleta import Skeleton, boundary_columns
 
 # the six permutations of three sheet slots, in the fixed mixed-radix order
 # used to index gluing configurations
@@ -79,9 +83,6 @@ class Surface:
     @property
     def complexity(self) -> int:
         return self.skeleton.complexity
-
-    def total_length(self) -> int:
-        return sum(len(w) for w in self.disks)
 
 
 def arrival_germ(s: Skeleton, letter: int) -> int:
@@ -309,20 +310,21 @@ def _vertex_matching(s: Skeleton) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _kernel_tables(s: Skeleton, columns: tuple[int, ...]):
+def _kernel_tables(s: Skeleton):
     """Per-skeleton constants of the scan kernel.
 
     An open path is kept as one packed integer per end: the number of sheets
     it uses in the low `shift` bits, and above them its signed traversal
-    counts over `columns`, read from that end, one balanced base-16 digit
-    per column (no curve crosses an edge more than three times, so digits
-    stay within [-3, 3] and packed integers add like their vectors).
-    Returns (fwd, bwd, shift, tails, counts): fwd[e] and bwd[e] pack one
-    sheet of edge e crossed tail to head and head to tail; tails is the
-    _TailTable of the last two edges and counts the _CountLookahead of the
-    edges above them.  Cached per (skeleton, columns), so every prefix shard
-    a process scans shares both tables.
+    counts over the boundary columns (skeleta.boundary_columns), read from
+    that end, one balanced base-16 digit per column (no curve crosses an
+    edge more than three times, so digits stay within [-3, 3] and packed
+    integers add like their vectors).  Returns (fwd, bwd, shift, tails,
+    counts): fwd[e] and bwd[e] pack one sheet of edge e crossed tail to head
+    and head to tail; tails is the _TailTable of the last two edges and
+    counts the _CountLookahead of the edges above them.  Cached per
+    skeleton, so every prefix shard a process scans shares both tables.
     """
+    columns = boundary_columns(s)
     shift = (3 * s.n_edges).bit_length()
     digit = {label: 16**j << shift for j, label in enumerate(columns)}
     fwd = tuple(digit.get(e + 1, 0) + 1 for e in range(s.n_edges))
@@ -465,23 +467,21 @@ class _RowDecoder(dict):
         return row
 
 
-def enumerate_surfaces(
-    s: Skeleton,
-    min_disk_len: int = 1,
-    prefix: GluingConfig = (),
-    columns=None,
-):
-    """Yield (config, words) for every gluing with exactly t+1 boundary
+def enumerate_surfaces(s: Skeleton, min_disk_len: int = 1, prefix: GluingConfig = ()):
+    """Yield (config, rows) for every gluing with exactly t+1 boundary
     curves, every curve of length at least min_disk_len, in mixed-radix
-    order (last edge fastest).
+    order (last edge fastest).  rows holds one boundary row per curve over
+    the skeleton's boundary columns (skeleta.boundary_columns), each row up
+    to sign: the square matrix whose determinant decides acyclicity.  The
+    curves' words are trace_gluing(s, config).
 
     One explicit-stack DFS walks the edges in label order.  Each depth keeps
     the open boundary paths: the other end of every path end, and a packed
     integer per end holding the path's length and its signed traversal
-    counts over `columns` (see _kernel_tables).  Joining two paths adds
-    their integers and closing a curve yields its boundary row, so rows are
-    built as the paths close and no curve is re-traced.  A branch dies as
-    soon as it closes a short curve or t+1 curves.  On the LOOKAHEAD_EDGES
+    counts over the boundary columns (see _kernel_tables).  Joining two
+    paths adds their integers and closing a curve yields its boundary row,
+    so rows are built as the paths close and no curve is traced.  A branch
+    dies as soon as it closes a short curve or t+1 curves.  On the LOOKAHEAD_EDGES
     edges just above the tail a child is skipped before it is glued when no
     permutations of the edges after it can close the curves still needed,
     per the skeleton's _CountLookahead; the cut is on counts alone, so the
@@ -493,10 +493,6 @@ def enumerate_surfaces(
     the search space into disjoint, deterministic ranges; a prefix may pin
     one or both tail edges.
 
-    With `columns` (non-tree edge labels, ascending) the kernel yields
-    (config, rows) instead: one boundary row per curve, over those columns,
-    each row up to sign.  Without it the words are traced per leaf.
-
     Duplicates modulo the relabeling moves are not removed here.
     """
     n_edges = s.n_edges
@@ -506,9 +502,9 @@ def enumerate_surfaces(
     tail = n_edges - 2
     # the depths whose children the count lookahead filters
     look = max(0, tail - LOOKAHEAD_EDGES)
-    fwd, bwd, shift, tails, counts = _kernel_tables(s, tuple(columns or ()))
+    fwd, bwd, shift, tails, counts = _kernel_tables(s)
     mask = (1 << shift) - 1
-    rows_of = _RowDecoder(len(columns) if columns is not None else 0)
+    rows_of = _RowDecoder(target)  # a connected skeleton has t+1 non-tree edges
 
     config = list(prefix) + [0] * (n_edges - len(prefix))
     choices = [(c, c) for c in prefix] + [(0, 5)] * (n_edges - len(prefix))
@@ -546,11 +542,7 @@ def enumerate_surfaces(
                         break
                     new.append(x)
                 else:
-                    cfg = head + pair
-                    if columns is None:
-                        yield cfg, trace_gluing(s, cfg)
-                    else:
-                        yield cfg, [rows_of[x >> shift] for x in done + tuple(new)]
+                    yield head + pair, [rows_of[x >> shift] for x in done + tuple(new)]
             e -= 1
             continue
         pi = nxt[e]

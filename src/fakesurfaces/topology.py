@@ -74,36 +74,12 @@ def _arms_fixed(s: Skeleton, w: Word, forward, backward) -> bool:
     raise AssertionError(f"arms {arms} did not return to the starting fiber {start}")
 
 
-def _trivial_bundles(f: Surface):
-    """Per disk, in word order, whether its triod bundle is trivial; the
-    sheet transport is recovered once for the whole surface."""
+def disk_flags(f: Surface) -> list[tuple[bool, bool]]:
+    """(embedded, trivial bundle) per disk, in word order; the sheet
+    transport is recovered once for the whole surface."""
     s = f.skeleton
     forward, backward = _sheet_transport(s, f.disks)
-    return (_arms_fixed(s, w, forward, backward) for w in f.disks)
-
-
-def t_bundle_trivial(f: Surface, d: int) -> bool:
-    """Monodromy of the two free arms of the triod fiber around disk d."""
-    return _arms_fixed(f.skeleton, f.disks[d], *_sheet_transport(f.skeleton, f.disks))
-
-
-def disk_flags(f: Surface) -> list[tuple[bool, bool]]:
-    """(embedded, trivial bundle) per disk, in word order."""
     return [
-        (is_embedded(f, d), trivial)
-        for d, trivial in enumerate(_trivial_bundles(f))
+        (is_embedded(f, d), _arms_fixed(s, w, forward, backward))
+        for d, w in enumerate(f.disks)
     ]
-
-
-def is_spine(f: Surface) -> bool:
-    """True when every disk has a trivial triod bundle."""
-    return all(_trivial_bundles(f))
-
-
-def has_embedded_disk(f: Surface) -> bool:
-    return any(is_embedded(f, d) for d in range(len(f.disks)))
-
-
-def nontrivial_t_count(f: Surface) -> int:
-    """Number of disks with nontrivial triod bundles (0 means spine)."""
-    return sum(not trivial for trivial in _trivial_bundles(f))

@@ -1,23 +1,21 @@
-"""Word normalization, move invariance, canonical forms, dedupe."""
+"""Word normalization, move invariance, canonical forms, geometric classes."""
 
 import random
 
 import pytest
 
 from fakesurfaces.skeleta import enumerate_skeleta, skeleton_by_index
-from fakesurfaces.surfaces import Surface, enumerate_surfaces, trace_gluing
+from fakesurfaces.surfaces import Surface, enumerate_surfaces, reconstruct_config, trace_gluing
+from fakesurfaces.algebra import is_acyclic
 from fakesurfaces.canon import (
-    canonical_config,
     canonical_form,
     canonical_key,
     config_orbit,
-    dedupe,
     geometric_form,
     geometric_key,
     germ_symmetries,
     normalize_word,
     normalize_words,
-    transform_config,
 )
 
 ABALONE = ((1, 2, 2, 1, -2), (1,))
@@ -76,12 +74,6 @@ def test_bing_house_and_mutant_distinct():
     assert canonical_key(Surface(s, BING)) != canonical_key(Surface(s, MUTANT))
 
 
-def test_dedupe_idempotent_on_repeats():
-    s = skeleton_by_index(1, 1)
-    out = dedupe([Surface(s, ABALONE)] * 7)
-    assert len(out) == 1
-
-
 def _random_move(rng, s, words):
     """One move from the published set, applied at the word level."""
     words = list(words)
@@ -112,7 +104,8 @@ def _random_sign_flip(rng, s, words):
 def test_canonical_form_invariant_under_move_sequences(t):
     rng = random.Random(100 + t)
     for s in enumerate_skeleta(t):
-        for cfg, words in enumerate_surfaces(s):
+        for cfg, _ in enumerate_surfaces(s):
+            words = trace_gluing(s, cfg)
             base = canonical_form(Surface(s, words))
             current = words
             for _ in range(20):
@@ -127,7 +120,8 @@ def test_geometric_form_invariant_under_geometric_moves(t):
     # geometric moves exclude non-loop sign flips
     rng = random.Random(200 + t)
     for s in enumerate_skeleta(t):
-        for cfg, words in enumerate_surfaces(s):
+        for cfg, _ in enumerate_surfaces(s):
+            words = trace_gluing(s, cfg)
             base = geometric_form(Surface(s, words))
             current = words
             for _ in range(20):
@@ -136,8 +130,8 @@ def test_geometric_form_invariant_under_geometric_moves(t):
 
 
 def test_config_transforms_commute_with_tracing():
-    # applying a germ symmetry to a configuration then tracing equals
-    # tracing first and transforming the words, up to normalization
+    # the configuration orbit is the set of gluings that trace to the words
+    # moved by each germ symmetry, up to normalization
     for t in (1, 2):
         for s in enumerate_skeleta(t):
             syms = germ_symmetries(s)
@@ -145,11 +139,13 @@ def test_config_transforms_commute_with_tracing():
             cfgs = [cfg for cfg, _ in enumerate_surfaces(s)]
             for cfg in rng.sample(cfgs, min(10, len(cfgs))):
                 words = trace_gluing(s, cfg)
-                for i, sym in enumerate(syms):
-                    moved = transform_config(s, i, cfg)
-                    assert normalize_words(trace_gluing(s, moved)) == normalize_words(
-                        sym.apply_words(s, words)
-                    )
+                images = set()
+                for sym in syms:
+                    moved = sym.apply_words(s, words)
+                    image = reconstruct_config(s, moved)
+                    assert normalize_words(trace_gluing(s, image)) == normalize_words(moved)
+                    images.add(image)
+                assert config_orbit(s, cfg) == images
 
 
 def test_orbit_is_group_closed():
@@ -158,7 +154,8 @@ def test_orbit_is_group_closed():
     orbit = config_orbit(s, cfg)
     for member in orbit:
         assert config_orbit(s, member) == orbit
-    assert canonical_config(s, cfg) == min(orbit)
+    f = Surface(s, trace_gluing(s, cfg))
+    assert geometric_form(f) == normalize_words(trace_gluing(s, min(orbit)))
 
 
 def test_germ_symmetry_group_sizes():
@@ -175,36 +172,18 @@ def test_canonical_form_may_leave_validity_but_key_is_stable():
     assert canonical_key(f) == canonical_key(Surface(s, geometric_form(f)))
 
 
-def test_dedupe_counts_t2():
+def test_geometric_class_counts_t2():
     for idx, want in ((1, 15), (2, 2)):
         s = skeleton_by_index(2, idx)
-        from fakesurfaces.algebra import is_acyclic
-
-        surfs = [
-            Surface(s, w)
-            for cfg, w in enumerate_surfaces(s)
-            if is_acyclic(Surface(s, w))
-        ]
-        assert len(dedupe(surfs)) == want
-
-
-def test_dedupe_applies_the_geometric_quotient_not_the_published_key(monkeypatch):
-    # a published key that puts every surface in one class merges nothing
-    import fakesurfaces.canon as canon
-
-    monkeypatch.setattr(canon, "canonical_key", lambda f: b"one class")
-    s = skeleton_by_index(2, 1)
-    surfs = [Surface(s, w) for cfg, w in enumerate_surfaces(s)]
-    reps = dedupe(surfs)
-    assert [geometric_key(f) for f in reps] == sorted({geometric_key(f) for f in surfs})
-    assert all(f.disks == geometric_form(f) for f in reps)
+        surfs = [Surface(s, trace_gluing(s, cfg)) for cfg, _ in enumerate_surfaces(s)]
+        assert len({geometric_key(f) for f in surfs if is_acyclic(f)}) == want
 
 
 def test_some_gluing_traces_to_the_abalone_class():
     s = skeleton_by_index(1, 1)
     target = canonical_key(Surface(s, ABALONE))
     keys = {
-        canonical_key(Surface(s, words)) for cfg, words in enumerate_surfaces(s)
+        canonical_key(Surface(s, trace_gluing(s, cfg))) for cfg, _ in enumerate_surfaces(s)
     }
     assert target in keys
 
@@ -214,7 +193,8 @@ def test_canonical_form_invariant_under_every_single_generator():
     for t in (1, 2):
         for s in enumerate_skeleta(t):
             syms = germ_symmetries(s)
-            for cfg, words in enumerate_surfaces(s):
+            for cfg, _ in enumerate_surfaces(s):
+                words = trace_gluing(s, cfg)
                 base = canonical_form(Surface(s, words))
                 for sym in syms:
                     assert canonical_form(Surface(s, sym.apply_words(s, words))) == base

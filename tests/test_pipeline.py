@@ -8,8 +8,10 @@ import re
 import pytest
 
 from fakesurfaces import cli, pipeline
+from fakesurfaces.canon import config_orbit, geometric_form
 from fakesurfaces.formats import (
     ListingRow,
+    SurfaceRecord,
     format_listing_line,
     load_reference_listing,
     read_records,
@@ -23,6 +25,9 @@ from fakesurfaces.pipeline import (
     stats_spine_ratio,
     verify_file,
 )
+from fakesurfaces.skeleta import skeleton_by_index
+from fakesurfaces.surfaces import Surface, trace_gluing
+from fakesurfaces.topology import disk_flags
 
 
 def _digest(result):
@@ -428,3 +433,48 @@ def test_verify_reports_a_representative_not_in_canonical_form(tmp_path):
         "record": 1, "field": "representative",
         "got": "not the canonical words of its class",
     }]
+
+
+def test_verify_reports_missing_and_extra_flag_pairs(tmp_path):
+    out = str(tmp_path / "run")
+    classify(2, out_dir=out)
+    path = tmp_path / "run" / "surfaces_t2.jsonl"
+    lines = path.read_text().splitlines()
+    short, long = json.loads(lines[0]), json.loads(lines[1])
+    short["flags"] = short["flags"][:-1]
+    long["flags"] = long["flags"] + [["Y", "Y"]]
+    lines[:2] = [json.dumps(short), json.dumps(long)]
+    path.write_text("\n".join(lines) + "\n")
+    report = verify_file(str(path))
+    assert report["verified"] == 15
+    assert report["mismatches"] == [
+        {"record": 1, "field": "flags", "got": "stored 2 pairs for 3 disks"},
+        {"record": 2, "field": "flags", "got": "stored 4 pairs for 3 disks"},
+    ]
+
+
+def test_verify_reports_a_stored_acyclic_claim_once(tmp_path):
+    # gluing (1, 1) of the complexity-1 skeleton has t+1 curves and
+    # boundary determinant 3
+    s = skeleton_by_index(1, 1)
+    f = Surface(s, geometric_form(Surface(s, trace_gluing(s, (1, 1)))))
+    flags = tuple(disk_flags(f))
+    rec = SurfaceRecord(1, 1, f.disks, flags, acyclic=True,
+                        spine=all(t for _, t in flags), pi1="finite:3")
+    path = tmp_path / "cyclic.jsonl"
+    path.write_text(rec.to_json() + "\n")
+    report = verify_file(str(path))
+    assert report["mismatches"] == [
+        {"record": 1, "field": "acyclic", "got": "record is not acyclic"}
+    ]
+
+
+def test_reduce_rejects_an_orbit_that_escapes_the_survivors():
+    s = skeleton_by_index(2, 1)
+    survivors = pipeline._scan(s, [()], 1, 1, None)
+    assert len(pipeline.reduce_survivors(s, survivors)) == 15
+    orbit = config_orbit(s, survivors[0])
+    assert len(orbit) > 1
+    dropped = [cfg for cfg in survivors if cfg != max(orbit)]
+    with pytest.raises(AssertionError, match="orbit escapes the survivor set"):
+        pipeline.reduce_survivors(s, dropped)

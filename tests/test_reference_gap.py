@@ -23,12 +23,12 @@ be reproduced by any reading of the moves; the corrected total is 239.
 import itertools
 
 from fakesurfaces.algebra import is_acyclic, pi1_trivial
-from fakesurfaces.canon import canonical_key, dedupe, geometric_key
+from fakesurfaces.canon import canonical_key, geometric_key
 from fakesurfaces.formats import ingest_row, load_reference_listing
+from fakesurfaces.pipeline import classify
 from fakesurfaces.skeleta import skeleton_by_index
 from fakesurfaces.surfaces import (
     Surface,
-    enumerate_surfaces,
     reconstruct_config,
     validate_words,
     S3,
@@ -101,10 +101,7 @@ def test_published_rows_hit_62_distinct_classes_and_miss_one():
         if row.skeleton_index == 3
     }
     assert len(published) == 62
-    surfaces = [
-        Surface(s, w) for cfg, w in enumerate_surfaces(s) if is_acyclic(Surface(s, w))
-    ]
-    mine = {canonical_key(f) for f in dedupe(surfaces)}
+    mine = {canonical_key(r.surface()) for r in classify(3, skeleton_indices=[3]).records}
     assert len(mine) == 63
     assert published < mine
     extra = mine - published

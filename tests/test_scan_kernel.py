@@ -19,6 +19,8 @@ from fakesurfaces.surfaces import (
     trace_gluing,
 )
 
+from oracles import det_cofactor
+
 
 def _rows_up_to_sign(rows):
     return sorted(max(tuple(r), tuple(-x for x in r)) for r in rows)
@@ -28,8 +30,7 @@ def _rows_up_to_sign(rows):
 def test_kernel_rows_equal_traced_boundary_matrix(t):
     leaves = 0
     for s in enumerate_skeleta(t):
-        columns = algebra.boundary_columns(s)
-        for cfg, rows in enumerate_surfaces(s, columns=columns):
+        for cfg, rows in enumerate_surfaces(s):
             m = algebra.boundary_matrix(Surface(s, trace_gluing(s, cfg)))
             assert _rows_up_to_sign(rows) == _rows_up_to_sign(m), (s.index, cfg)
             leaves += 1
@@ -45,7 +46,7 @@ def test_scan_survivors_equal_brute_force_filter(t):
             if len(words) != t + 1:
                 continue
             m = algebra.boundary_matrix(Surface(s, words))
-            if abs(algebra.det_cofactor(m)) != 1:
+            if abs(det_cofactor(m)) != 1:
                 continue
             for min_len, kept in want.items():
                 if min(map(len, words)) >= min_len:
@@ -82,12 +83,11 @@ def test_prefixes_pinning_the_tail_edges_give_the_unsharded_scan(t, shards):
 
 def test_prefix_shards_of_a_skeleton_share_one_tail_table():
     s = skeleton_by_index(4, 10)
-    columns = tuple(algebra.boundary_columns(s))
     _kernel_tables.cache_clear()
     for p in pipeline.shard_prefixes(s, 36):
         pipeline._scan_shard((4, s.index, 3, p))
     assert _kernel_tables.cache_info().misses == 1
-    tails, counts = _kernel_tables(s, columns)[3:]
+    tails, counts = _kernel_tables(s)[3:]
     pairings, keys = len(tails), len(counts)
     assert pairings > 0 and keys > 0
     # the unsharded scan meets no pairing the shards did not fill in
@@ -129,10 +129,9 @@ def _curve_counts(key, n_nodes):
                                       for s in enumerate_skeleta(t)] + [(4, 10)])
 def test_count_lookahead_equals_brute_force_curve_counts(t, index):
     s = skeleton_by_index(t, index)
-    columns = algebra.boundary_columns(s)
-    for _ in enumerate_surfaces(s, columns=columns):
+    for _ in enumerate_surfaces(s):
         pass
-    lookahead = _kernel_tables(s, tuple(columns))[4]
+    lookahead = _kernel_tables(s)[4]
     if s.n_edges > 2:
         assert lookahead  # every key the scan met at the edges above the tail
     for key, allowed in lookahead.items():
@@ -153,8 +152,7 @@ class _EveryCount(dict):
 
 def _stream_digest(s, min_disk_len):
     h = hashlib.sha256()
-    columns = algebra.boundary_columns(s)
-    for cfg, rows in enumerate_surfaces(s, min_disk_len=min_disk_len, columns=columns):
+    for cfg, rows in enumerate_surfaces(s, min_disk_len=min_disk_len):
         h.update(repr((cfg, rows)).encode())
     return h.hexdigest()
 
@@ -165,9 +163,9 @@ def test_count_lookahead_keeps_the_leaf_stream(monkeypatch, min_disk_len, indice
     skeleta = [skeleton_by_index(4, i) for i in indices]
     pruned = [_stream_digest(s, min_disk_len) for s in skeleta]
     for s in skeleta:
-        masks = _kernel_tables(s, tuple(algebra.boundary_columns(s)))[4].values()
+        masks = _kernel_tables(s)[4].values()
         assert any(m != 0b111111 for allowed in masks for m in allowed)  # it cuts
     real = surfaces._kernel_tables
     monkeypatch.setattr(surfaces, "_kernel_tables",
-                        lambda s, columns: real(s, columns)[:4] + (_EveryCount(),))
+                        lambda s: real(s)[:4] + (_EveryCount(),))
     assert [_stream_digest(s, min_disk_len) for s in skeleta] == pruned

@@ -1,15 +1,8 @@
 """Embedded disks and triod bundle monodromy."""
 
 from fakesurfaces.skeleta import enumerate_skeleta, skeleton_by_index
-from fakesurfaces.surfaces import Surface, enumerate_surfaces
-from fakesurfaces.topology import (
-    disk_flags,
-    has_embedded_disk,
-    is_embedded,
-    is_spine,
-    nontrivial_t_count,
-    t_bundle_trivial,
-)
+from fakesurfaces.surfaces import Surface, enumerate_surfaces, trace_gluing
+from fakesurfaces.topology import disk_flags, is_embedded
 from fakesurfaces.canon import germ_symmetries
 from fakesurfaces.algebra import is_acyclic
 
@@ -25,12 +18,16 @@ def test_complexity1_flags():
     assert disk_flags(Surface(s, ABALONE)) == [(False, True), (True, True)]
 
 
+def _spine(f):
+    return all(trivial for _, trivial in disk_flags(f))
+
+
 def test_spine_examples():
     s1 = skeleton_by_index(1, 1)
-    assert is_spine(Surface(s1, ABALONE))
-    assert not is_spine(Surface(s1, NONSPINE))
+    assert _spine(Surface(s1, ABALONE))
+    assert not _spine(Surface(s1, NONSPINE))
     s2 = skeleton_by_index(2, 1)
-    assert is_spine(Surface(s2, BING))
+    assert _spine(Surface(s2, BING))
 
 
 def test_bing_house_small_disks_embedded():
@@ -49,27 +46,28 @@ def test_two_letter_disk_embedded():
 
 def test_nontrivial_counts_complexity1():
     s = skeleton_by_index(1, 1)
-    assert nontrivial_t_count(Surface(s, NONSPINE)) == 1
-    assert nontrivial_t_count(Surface(s, ABALONE)) == 0
+    for words, want in ((NONSPINE, 1), (ABALONE, 0)):
+        assert sum(not trivial for _, trivial in disk_flags(Surface(s, words))) == want
 
 
 def test_has_embedded_disk_both_complexity1():
     s = skeleton_by_index(1, 1)
-    assert has_embedded_disk(Surface(s, ABALONE))
-    assert has_embedded_disk(Surface(s, NONSPINE))
+    for words in (ABALONE, NONSPINE):
+        assert any(embedded for embedded, _ in disk_flags(Surface(s, words)))
 
 
 def test_monodromy_direction_invariance():
     # writing a disk backwards must not change its bundle verdict
     for t in (1, 2):
         for s in enumerate_skeleta(t):
-            for cfg, words in enumerate_surfaces(s):
+            for cfg, _ in enumerate_surfaces(s):
+                words = trace_gluing(s, cfg)
                 f = Surface(s, words)
                 for d in range(len(words)):
                     reversed_words = list(words)
                     reversed_words[d] = tuple(-x for x in reversed(words[d]))
                     g = Surface(s, tuple(reversed_words))
-                    assert t_bundle_trivial(f, d) == t_bundle_trivial(g, d)
+                    assert disk_flags(f)[d][1] == disk_flags(g)[d][1]
             break  # one skeleton per complexity keeps this quick
 
 
@@ -78,7 +76,8 @@ def test_flags_invariant_under_germ_symmetries():
         for s in enumerate_skeleta(t):
             syms = germ_symmetries(s)
             count = 0
-            for cfg, words in enumerate_surfaces(s):
+            for cfg, _ in enumerate_surfaces(s):
+                words = trace_gluing(s, cfg)
                 f = Surface(s, words)
                 profile = sorted(
                     (len(w), fl) for w, fl in zip(words, disk_flags(f))
@@ -97,7 +96,8 @@ def test_flags_invariant_under_germ_symmetries():
 def test_small_disks_always_embedded_above_complexity1():
     for t in (2, 3):
         for s in enumerate_skeleta(t):
-            for cfg, words in enumerate_surfaces(s):
+            for cfg, _ in enumerate_surfaces(s):
+                words = trace_gluing(s, cfg)
                 f = Surface(s, words)
                 if not is_acyclic(f):
                     continue
