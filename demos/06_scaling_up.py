@@ -8,7 +8,7 @@ restricts to surfaces whose disks all have length at least 3 (small disks
 are always embedded, so the embedded-disk question is unaffected), which
 prunes the tree by an order of magnitude.
 
-On two cores expect about 20 seconds for t=4 and about 15 seconds for t=5.
+On two cores expect about 11 seconds for t=4 and about 12 seconds for t=5.
 """
 
 import os

@@ -9,13 +9,18 @@ enumeration over the trivial subgroup.
 
 Triviality is only ever proven, never refuted: a coset enumeration that
 exceeds its cap returns an inconclusive verdict.  All matrix arithmetic is
-exact (Python integers).
+exact (Python integers).  The scan takes one determinant per leaf, so
+det_bareiss evaluates the boundary matrices that occur up to complexity 6
+(at most 7 x 7) by a straight-line formula compiled once per size, and
+falls back to Bareiss elimination only for larger matrices.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 
 from .skeleta import boundary_columns, spanning_tree
 from .surfaces import Surface
@@ -57,15 +62,64 @@ def boundary_matrix(f: Surface, tree=None) -> list[list[int]]:
     return m
 
 
+# the largest n whose determinant is a compiled straight-line formula
+FORMULA_MAX_N = 7
+
+
+@cache
+def _det_formula(n: int):
+    """Compile the straight-line Laplace expansion of an n x n determinant.
+
+    Entries are unpacked into locals (a ragged or non-square matrix fails
+    the unpacking with ValueError).  The expansion runs from the last row
+    up: the minor of the last k rows on a set of columns is expanded along
+    its first row into minors of the last k-1 rows, and each minor is
+    computed once, into a local that every larger minor containing it reads.
+    """
+
+    def minor(cols) -> str:
+        if len(cols) == 1:
+            return f"m{n - 1}_{cols[0]}"
+        return "d" + "".join(map(str, cols))
+
+    unpack = "".join("(" + "".join(f"m{i}_{j}, " for j in range(n)) + "), " for i in range(n))
+    lines = ["def det(m):", f"    {unpack or '()'} = m"]
+    for k in range(2, n + 1):
+        for cols in combinations(range(n), k):
+            terms = "".join(
+                f" {'-' if p % 2 else '+'} m{n - k}_{c} * {minor(cols[:p] + cols[p + 1:])}"
+                for p, c in enumerate(cols)
+            )
+            lines.append(f"    {minor(cols)} = {terms[3:]}")
+    lines.append(f"    return {minor(tuple(range(n))) if n else 1}")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<det{n}>", "exec"), namespace)
+    return namespace["det"]
+
+
 def det_bareiss(matrix) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
+    """Exact determinant of a square matrix given as a sequence of rows.
+
+    For n <= FORMULA_MAX_N (every boundary matrix up to complexity 6) this
+    is a straight-line Laplace expansion over shared minors, compiled once
+    per n on first use (_det_formula): 75 products at n=5, 186 at n=6, in
+    local variables, about four times faster than elimination on the scan's
+    5 x 5 leaves.  Larger matrices take fraction-free (Bareiss) Gaussian
+    elimination.  The name predates the formula and stays because the
+    benchmark traces and counts algebra.det_bareiss, one call per scan
+    leaf.  A ragged or non-square matrix raises ValueError; the empty
+    matrix has determinant 1.
+    """
+    n = len(matrix)
+    if n <= FORMULA_MAX_N:
+        try:
+            return _det_formula(n)(matrix)
+        except ValueError:
+            raise ValueError("matrix must be square") from None
     m = [list(row) for row in matrix]
-    n = len(m)
     for row in m:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):

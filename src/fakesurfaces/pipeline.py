@@ -9,7 +9,8 @@ curve's boundary row as its path closes, skips a child near the end when no
 completion can close the curves still needed, stops before the last two
 edges and looks both edges' closures up per pairing of their open path
 ends; both tables are cached per skeleton, so a leaf costs one determinant
-and no word is traced.  The prefix ranges' survivors are concatenated in
+(algebra.det_bareiss, a compiled straight-line formula at these sizes) and
+no word is traced.  The prefix ranges' survivors are concatenated in
 range order.  Words are traced only for the orbit representatives in the
 reduce, which keeps one set of survivors not yet in a reduced orbit: each
 survivor still in it removes its orbit and contributes one class whose
@@ -203,15 +204,21 @@ def reduce_survivors(
     return records
 
 
-def _derived_claims(f: Surface, coset_cap: int):
+def _derived_claims(f: Surface, coset_cap: int, acyclic: bool = True):
     """(flags, spine, pi1) as a surface record stores them: the disk flags,
     whether every disk's triod bundle is trivial, and the pi1 verdict as
     "trivial", "finite:<order>" or "inconclusive".  Acyclicity is the
-    caller's to establish; no determinant is taken here."""
+    caller's to establish; no determinant is taken here.  For a surface the
+    caller found not acyclic pi1 is None and no coset enumeration runs: its
+    group is not trivial, and a capped enumeration could only say
+    "inconclusive"."""
     flags = tuple(topology.disk_flags(f))
+    spine = all(t for _, t in flags)
+    if not acyclic:
+        return flags, spine, None
     verdict = algebra.pi1_trivial(f, cap=coset_cap)
     pi1 = f"finite:{verdict.order}" if verdict.status == "finite" else verdict.status
-    return flags, all(t for _, t in flags), pi1
+    return flags, spine, pi1
 
 
 def classify(
@@ -572,8 +579,11 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
     (the classifier keeps them apart); they are listed as (first, later)
     pairs in report["sign_flip_merges"].  A native record not in its class's
     canonical words (canon.geometric_form, as classify writes them) is a
-    `representative` mismatch; published listing rows are exempt.
-    Mismatches are collected, not raised; parse errors abort with line info.
+    `representative` mismatch; published listing rows are exempt.  A record
+    that is not acyclic gets an `acyclic` mismatch and its flags and spine
+    are still checked, but its stored pi1 is not: no coset enumeration runs
+    for it.  Mismatches are collected, not raised; parse errors abort with
+    line info.
     """
     records = read_records(path)
     native = file_format(path) == "native"
@@ -602,11 +612,12 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
                 distinct[-1] = f
             if native and canon.encode_words(rec.disks) != key:
                 problems.append(("representative", "not the canonical words of its class"))
-            if not algebra.is_acyclic(f):
+            acyclic = algebra.is_acyclic(f)
+            if not acyclic:
                 problems.append(("acyclic", "record is not acyclic"))
             elif rec.acyclic is False:
                 problems.append(("acyclic", "derived True"))
-            flags, spine, pi1 = _derived_claims(f, coset_cap)
+            flags, spine, pi1 = _derived_claims(f, coset_cap, acyclic)
             if rec.flags and len(rec.flags) != len(flags):
                 problems.append(
                     ("flags", f"stored {len(rec.flags)} pairs for {len(flags)} disks")
@@ -622,7 +633,7 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
                         )
             if rec.spine is not None and spine != rec.spine:
                 problems.append(("spine", f"derived {spine}"))
-            if rec.pi1 is not None and pi1 != rec.pi1:
+            if rec.pi1 is not None and pi1 is not None and pi1 != rec.pi1:
                 problems.append(("pi1", f"stored {rec.pi1} derived {pi1}"))
         if problems:
             for fieldname, detail in problems:

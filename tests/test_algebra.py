@@ -1,9 +1,11 @@
 """Homology, presentations, simplification, coset enumeration, parsing."""
 
+import itertools
 import random
 
 import pytest
 
+from fakesurfaces import algebra
 from fakesurfaces.skeleta import enumerate_skeleta, skeleton_by_index, spanning_tree
 from fakesurfaces.surfaces import Surface, enumerate_surfaces, trace_gluing
 from fakesurfaces.algebra import (
@@ -65,11 +67,67 @@ def test_boundary_column_sums_bounded():
 
 
 def test_det_oracles_agree_random():
+    # n = 0..8 covers both sides of the formula/elimination dispatch
+    assert algebra.FORMULA_MAX_N == 7
     rng = random.Random(7)
-    for _ in range(300):
-        n = rng.randint(0, 5)
-        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        assert det_bareiss(m) == det_cofactor(m)
+    for bound, n in itertools.product((3, 10**9), range(9)):
+        for _ in range(60 if n < 8 else 4):
+            m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            assert det_bareiss(m) == det_cofactor(m), m
+            if n >= 3:  # a last row dependent on the first two
+                m[-1] = [a + b for a, b in zip(m[0], m[1])]
+                assert det_bareiss(m) == 0, m
+
+
+@pytest.mark.parametrize("t, indices", [(1, None), (2, None), (3, None), (4, (9,))])
+def test_det_equals_cofactor_on_every_scan_leaf(t, indices):
+    if indices is None:
+        skeleta = enumerate_skeleta(t)
+    else:
+        skeleta = [skeleton_by_index(t, i) for i in indices]
+    leaves = 0
+    for s in skeleta:
+        for cfg, rows in enumerate_surfaces(s):
+            assert det_bareiss(rows) == det_cofactor(rows), (s.index, cfg)
+            leaves += 1
+    assert leaves > 0
+
+
+def test_det_formula_equals_elimination_on_every_leaf_of_t4_skeleton2(monkeypatch):
+    leaves = [rows for _, rows in enumerate_surfaces(skeleton_by_index(4, 2))]
+    formula = [det_bareiss(rows) for rows in leaves]
+    monkeypatch.setattr(algebra, "FORMULA_MAX_N", 0)  # every leaf takes Bareiss
+    assert [det_bareiss(rows) for rows in leaves] == formula
+    assert sum(abs(d) == 1 for d in formula) > 0
+
+
+@pytest.mark.parametrize("n", (3, 9))  # the formula and the elimination side
+def test_det_rejects_non_square_and_ragged_matrices(n):
+    square = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert det_bareiss(square) == 1
+    for bad in (
+        [row + [0] for row in square],  # n rows of n+1
+        [row[:-1] for row in square],  # n rows of n-1
+        square[:-1] + [square[-1][:-1]],  # ragged: last row short
+        square[:-1] + [square[-1] + [0]],  # ragged: last row long
+    ):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            det_bareiss(bad)
+    with pytest.raises(ValueError, match="matrix must be square"):
+        det_bareiss([[]])
+
+
+def test_det_accepts_tuples_and_lists_and_keeps_its_input():
+    assert det_bareiss([]) == 1
+    assert det_bareiss(()) == 1
+    for m in (((2, 1), (1, 0)), [(2, 1), [1, 0]], [[2, 1], [1, 0]]):
+        assert det_bareiss(m) == -1
+    big = tuple(tuple(int(i == j) * (i + 1) for j in range(9)) for i in range(9))
+    assert det_bareiss(big) == det_bareiss([list(row) for row in big]) == 362880
+    m = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+    copy = [row[:] for row in m]
+    assert det_bareiss(m) == det_cofactor(copy) == -3
+    assert m == copy
 
 
 def test_det_oracles_agree_on_boundary_maps():

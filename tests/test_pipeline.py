@@ -478,3 +478,24 @@ def test_reduce_rejects_an_orbit_that_escapes_the_survivors():
     dropped = [cfg for cfg in survivors if cfg != max(orbit)]
     with pytest.raises(AssertionError, match="orbit escapes the survivor set"):
         pipeline.reduce_survivors(s, dropped)
+
+
+def test_verify_runs_no_pi1_on_a_record_that_is_not_acyclic(tmp_path, monkeypatch):
+    # gluing (2, 4, 4, 5) of complexity-2 skeleton 1 has t+1 curves and
+    # boundary determinant 0; its coset enumeration only hits the cap
+    s = skeleton_by_index(2, 1)
+    f = Surface(s, geometric_form(Surface(s, trace_gluing(s, (2, 4, 4, 5)))))
+    flags = tuple(disk_flags(f))
+    flipped = ((not flags[0][0], flags[0][1]),) + flags[1:]
+    rec = SurfaceRecord(2, 1, f.disks, flipped, acyclic=True,
+                        spine=all(t for _, t in flags), pi1="trivial")
+    path = tmp_path / "cyclic.jsonl"
+    path.write_text(rec.to_json() + "\n")
+    calls = []
+    real = pipeline.algebra.pi1_trivial
+    monkeypatch.setattr(
+        pipeline.algebra, "pi1_trivial", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    report = verify_file(str(path))
+    assert calls == []
+    assert [m["field"] for m in report["mismatches"]] == ["acyclic", "disk 1 flags"]
