@@ -10,16 +10,17 @@ Subcommands:
   bp        complexity of the fake surface obtained from a presentation
 
 Output directory defaults to $FAKESURFACES_OUT, else ./fakesurfaces-out.
-`classify --shard k/m` scans share k of an m-share sweep with --jobs
-workers (pipeline.scan_share); a later `classify` in the same --out merges
-each skeleton whose sweep is complete (pipeline.classify).
+`classify` scans each skeleton as share 1 of 1 of pipeline's one share
+plan, with --jobs workers.  `classify --shard k/m` scans share k of an
+m-share sweep (pipeline.scan_share); a later `classify` in the same --out
+merges each skeleton whose sweep is complete.  `tables` reads only runs
+without --min-disk-len (pipeline.load_census).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import algebra, pipeline
@@ -146,17 +147,12 @@ def cmd_verify(args) -> int:
 
 def cmd_tables(args) -> int:
     out_dir = args.out or pipeline.default_out_dir()
-    results = {}
-    for t in range(1, args.max_complexity + 1):
-        path = os.path.join(out_dir, f"surfaces_t{t}.jsonl")
-        if not os.path.exists(path):
-            print(f"missing classification for complexity {t} ({path}); "
-                  f"run classify first", file=sys.stderr)
-            return 1
-        recs = read_records(path)
-        r = pipeline.ClassificationResult(t, 1)
-        r.records = recs
-        results[t] = r
+    try:
+        results = {t: pipeline.load_census(out_dir, t)
+                   for t in range(1, args.max_complexity + 1)}
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     print(pipeline.emit_tables(results))
     return 0
 

@@ -1,9 +1,9 @@
 """End-to-end classification: enumerate, filter, quotient, flag, certify.
 
 For each skeleton of the requested complexity the gluing space is scanned
-(optionally sharded into fixed prefix ranges and farmed out to worker
-processes), acyclic survivors are collected as configuration tuples, and the
-reducer quotients them by the germ symmetries.  The scan is one
+in fixed prefix ranges (share 1 of 1 of the plan below, in a pool of
+worker processes when jobs > 1), acyclic survivors are collected as configuration
+tuples, and the reducer quotients them by the germ symmetries.  The scan is one
 explicit-stack DFS kernel (surfaces.enumerate_surfaces): it builds each
 curve's boundary row as its path closes, skips a child near the end when no
 completion can close the curves still needed, stops before the last two
@@ -22,18 +22,20 @@ after the reduce and never merges anything: the pairs of classes it would
 merge are reported (ClassificationResult.sign_flip_merges, the manifest,
 verify_file).  Orbits never cross the survivor set's boundary, so the
 classes, their representatives and all derived data are independent of the
-shard plan and job count; output files are byte-identical across runs.
+share plan and job count; output files are byte-identical across runs.
 
 Results persist per complexity as a JSON-lines surface file plus a manifest
 with options, a fingerprint of the package's sources and content hashes;
 skeletons already present in a manifest of the same options and code are
-skipped on resume.  A scan too long for one run splits into a k-of-m sweep:
-scan_share scans share k of every skeleton, at least SHARE_TASKS prefix
-ranges of it whatever the job count, with classify's tasks and pool and
-writes a shard file whose header holds the scan options, source
-fingerprint, skeleton, k, m and seconds.  classify takes each skeleton from
-the manifest, else from a complete sweep of matching shard files (reduced
-and stored like a scan), else from a scan.
+skipped on resume.  One plan splits every scan: share k of an m-share
+sweep of a skeleton is share_prefixes(s, k, m), at least SHARE_TASKS prefix
+ranges whatever the job count, one scan task each; classify scans share 1
+of 1.  A scan too long for one run splits into a k-of-m sweep: scan_share
+writes a shard file per skeleton whose header holds the scan options,
+source fingerprint, skeleton, k, m and seconds.  classify takes each
+skeleton from the manifest, else from a complete sweep of matching shard
+files (reduced and stored like a scan), else from a scan.  load_census
+reads a finished run without a disk-length filter back for the tables.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ def default_out_dir() -> str:
 @dataclass
 class ClassificationResult:
     complexity: int
-    min_disk_len: int
     records: list[SurfaceRecord] = field(default_factory=list)
     # (first, later) record numbers in one published sign-flip class
     sign_flip_merges: list[tuple[int, int]] = field(default_factory=list)
@@ -112,35 +113,32 @@ def shard_prefixes(s: Skeleton, shards: int) -> list[tuple[int, ...]]:
     return prefixes
 
 
+def share_prefixes(s: Skeleton, k: int, m: int) -> list[tuple[int, ...]]:
+    """The prefix ranges of share k of an m-share sweep of skeleton s: at
+    least SHARE_TASKS of them (fewer only when the skeleton has fewer
+    gluings), a plan that depends on m alone."""
+    return shard_prefixes(s, SHARE_TASKS * m)[k - 1 :: m]
+
+
 def classify_skeleton(
     s: Skeleton,
     min_disk_len: int = 1,
-    jobs: int = 1,
-    shards: int | None = None,
     coset_cap: int = algebra.DEFAULT_COSET_CAP,
     pool: Pool | None = None,
 ) -> list[SurfaceRecord]:
-    """Classify all acyclic surfaces over one skeleton; deterministic."""
-    if shards is None:
-        shards = 1 if jobs == 1 else 6 * jobs
-    prefixes = shard_prefixes(s, shards)
-    return reduce_survivors(s, _scan(s, prefixes, min_disk_len, jobs, pool), coset_cap)
+    """Classify all acyclic surfaces over one skeleton, scanned as share 1
+    of 1 (in the pool, if one is given); deterministic."""
+    survivors = _scan(s, share_prefixes(s, 1, 1), min_disk_len, pool)
+    return reduce_survivors(s, survivors, coset_cap)
 
 
-def _scan(s: Skeleton, prefixes, min_disk_len: int, jobs: int, pool: Pool | None):
+def _scan(s: Skeleton, prefixes, min_disk_len: int, pool: Pool | None):
     """Survivors of some prefix ranges of one skeleton, one _scan_shard task
-    per prefix, in the pool (or a local one) when jobs > 1.  Each range comes
-    back in mixed-radix order and ranges are disjoint, so ascending prefixes
-    give ascending survivors."""
+    per prefix, in the pool, or in this process when pool is None.  Each
+    range comes back in mixed-radix order and ranges are disjoint, so
+    ascending prefixes give ascending survivors."""
     tasks = [(s.complexity, s.index, min_disk_len, p) for p in prefixes]
-    if jobs > 1 and len(tasks) > 1:
-        if pool is not None:
-            outputs = pool.map(_scan_shard, tasks)
-        else:
-            with Pool(jobs) as local_pool:
-                outputs = local_pool.map(_scan_shard, tasks)
-    else:
-        outputs = map(_scan_shard, tasks)
+    outputs = map(_scan_shard, tasks) if pool is None else pool.map(_scan_shard, tasks)
     return [cfg for output in outputs for cfg in output]
 
 
@@ -148,16 +146,13 @@ def scan_share(t: int, k: int, m: int, out_dir: str, min_disk_len: int = 1,
                jobs: int = 1, progress=None) -> None:
     """Scan share k of a k-of-m sweep of every skeleton of complexity t and
     persist its survivors under out_dir for classify(t, out_dir=out_dir) to
-    merge.  Share k of skeleton s is shard_prefixes(s, SHARE_TASKS * m)[k-1::m],
-    so a share has SHARE_TASKS scan tasks or more to spread over its jobs
-    (fewer only when the skeleton has fewer gluings); the plan depends on m
-    alone."""
+    merge.  Share k of skeleton s is share_prefixes(s, k, m), SHARE_TASKS
+    scan tasks or more to spread over its jobs."""
     manifest = _Manifest(out_dir, t, min_disk_len)
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
         for s in enumerate_skeleta(t):
             started = time.time()
-            prefixes = shard_prefixes(s, SHARE_TASKS * m)[k - 1 :: m]
-            survivors = _scan(s, prefixes, min_disk_len, jobs, pool)
+            survivors = _scan(s, share_prefixes(s, k, m), min_disk_len, pool)
             manifest.store_share(s, k, m, survivors, time.time() - started)
             if progress is not None:
                 progress(s, survivors)
@@ -225,7 +220,6 @@ def classify(
     t: int,
     min_disk_len: int = 1,
     jobs: int = 1,
-    shards: int | None = None,
     out_dir: str | None = None,
     coset_cap: int = algebra.DEFAULT_COSET_CAP,
     skeleton_indices=None,
@@ -233,10 +227,11 @@ def classify(
 ) -> ClassificationResult:
     """Classify complexity t end to end.
 
-    With out_dir, results persist incrementally per skeleton and a matching
-    interrupted run resumes where it stopped.  A skeleton not in the
-    manifest is reduced from a complete scan_share sweep of matching shard
-    files when out_dir holds one.
+    Each skeleton is scanned as share 1 of 1, in a pool of `jobs` workers
+    when jobs > 1.  With out_dir, results persist incrementally per skeleton
+    and a matching interrupted run resumes where it stopped.  A skeleton not
+    in the manifest is reduced from a complete scan_share sweep of matching
+    shard files when out_dir holds one.
     """
     if t < 1:
         raise ValueError("complexity must be at least 1")
@@ -247,7 +242,7 @@ def classify(
         if unknown:
             raise ValueError(f"unknown skeleton indices {unknown}: t={t} has {len(skeleta)}")
         skeleta = tuple(s for s in skeleta if s.index in wanted)
-    result = ClassificationResult(t, min_disk_len)
+    result = ClassificationResult(t)
 
     manifest = None
     if out_dir is not None:
@@ -265,10 +260,7 @@ def classify(
                     started -= scan_seconds
                     records = reduce_survivors(s, survivors, coset_cap)
                 else:
-                    records = classify_skeleton(
-                        s, min_disk_len, jobs=jobs, shards=shards,
-                        coset_cap=coset_cap, pool=pool,
-                    )
+                    records = classify_skeleton(s, min_disk_len, coset_cap, pool)
                 if manifest is not None:
                     manifest.store_skeleton(s.index, records, time.time() - started)
             if progress is not None:
@@ -276,7 +268,36 @@ def classify(
             result.records.extend(records)
     result.sign_flip_merges = find_sign_flip_merges(r.surface() for r in result.records)
     if manifest is not None:
-        manifest.finalize(result)
+        manifest.finalize(result, [s.index for s in skeleta])
+    return result
+
+
+def load_census(out_dir: str, t: int) -> ClassificationResult:
+    """The finished classify(t) run persisted in out_dir, for the census
+    tables.  Raises ValueError naming the complexity when there is none, or
+    when its manifest does not describe the surface file, or records a
+    min_disk_len other than 1 or a subset of the skeleta: a filtered run is
+    not the census."""
+    path = os.path.join(out_dir, f"surfaces_t{t}.jsonl")
+    manifest = os.path.join(out_dir, f"manifest_t{t}.json")
+    if not (os.path.exists(path) and os.path.exists(manifest)):
+        raise ValueError(f"missing classification for complexity {t} ({path}); "
+                         f"run classify first")
+    with open(manifest, encoding="utf-8") as fh:
+        state = json.load(fh)
+    if state.get("combined", {}).get("sha256") != _sha256(path):
+        raise ValueError(f"complexity {t}: {path} is not the finished run "
+                         f"{manifest} records; run classify again")
+    min_disk_len = state["options"]["min_disk_len"]
+    if min_disk_len != 1:
+        raise ValueError(f"complexity {t}: the run in {out_dir} keeps only disks of "
+                         f"length at least {min_disk_len}, not the census; run "
+                         f"classify without --min-disk-len")
+    if state["combined"]["skeletons"] != [s.index for s in enumerate_skeleta(t)]:
+        raise ValueError(f"complexity {t}: the run in {out_dir} classified only "
+                         f"skeleta {state['combined']['skeletons']}, not the census")
+    result = ClassificationResult(t)
+    result.records = read_records(path)
     return result
 
 
@@ -406,7 +427,7 @@ class _Manifest:
                 return survivors, sum(seconds for _, seconds in shares.values())
         return None
 
-    def finalize(self, result: ClassificationResult) -> None:
+    def finalize(self, result: ClassificationResult, indices: list[int]) -> None:
         combined = os.path.join(self.dir, f"surfaces_t{self.t}.jsonl")
         tmp = combined + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -423,6 +444,7 @@ class _Manifest:
                 fh.write(format_listing_line(row) + "\n")
         os.replace(listing + ".tmp", listing)
         self.state["combined"] = {
+            "skeletons": indices,
             "surfaces": result.total,
             "sha256": _sha256(combined),
             "listing_sha256": _sha256(listing),

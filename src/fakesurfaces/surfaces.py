@@ -46,9 +46,6 @@ S3 = (
     (2, 1, 0),
 )
 S3_INDEX = {p: i for i, p in enumerate(S3)}
-S3_INVERSE = tuple(
-    S3_INDEX[tuple(p.index(k) for k in range(3))] for p in S3
-)
 
 Word = tuple[int, ...]
 GluingConfig = tuple[int, ...]
@@ -173,45 +170,6 @@ def validate_words(s: Skeleton, words) -> Valid | Violation:
 # gluing configurations and boundary tracing
 
 
-@lru_cache(maxsize=None)
-def _step_tables(s: Skeleton):
-    """step[e][p][dir*3+slot] = packed directed position after traversing
-    edge e under sheet permutation p and crossing the far vertex.
-
-    A packed position e*6 + dir*3 + slot means: about to traverse edge e in
-    direction dir (0 = tail to head), entering at slot index `slot` of the
-    entry end.
-    """
-    tables = []
-    for e in range(s.n_edges):
-        t_slots, h_slots = s.end_slots[e]
-        per_perm = []
-        for p in S3:
-            pinv = S3[S3_INVERSE[S3_INDEX[p]]]
-            row = [0] * 6
-            for dirn in range(2):
-                for slot in range(3):
-                    if dirn == 0:
-                        exit_slot = p[slot]
-                        x = h_slots[exit_slot]
-                        alpha = s.edge_head_germ[e]
-                    else:
-                        exit_slot = pinv[slot]
-                        x = t_slots[exit_slot]
-                        alpha = s.edge_tail_germ[e]
-                    e2 = s.germ_edge[x]
-                    if x == s.edge_tail_germ[e2]:
-                        dir2 = 0
-                        slot2 = s.end_slots[e2][0].index(alpha)
-                    else:
-                        dir2 = 1
-                        slot2 = s.end_slots[e2][1].index(alpha)
-                    row[dirn * 3 + slot] = e2 * 6 + dir2 * 3 + slot2
-            per_perm.append(tuple(row))
-        tables.append(tuple(per_perm))
-    return tuple(tables)
-
-
 def all_gluing_configs(s: Skeleton):
     """Every assignment of one sheet permutation per edge, 6^(2t) in all,
     in mixed-radix order (last edge varies fastest)."""
@@ -221,31 +179,34 @@ def all_gluing_configs(s: Skeleton):
 def trace_gluing(s: Skeleton, config: GluingConfig) -> tuple[Word, ...]:
     """Boundary curves of the gluing, each reported once.
 
-    Deterministic: each curve starts at its smallest packed position and is
-    walked forward from there.
+    A curve is walked on the scan kernel's nodes (_vertex_matching): a
+    strand entering edge e at node e*6 + end*3 + slot traverses e forward
+    when end is 0, leaves at the node its sheet reaches at the other end,
+    and crosses the vertex there to the node V[exit].  Deterministic: each
+    curve starts at its smallest node not yet walked in either direction.
     """
-    step = _step_tables(s)
-    n_pos = s.n_edges * 6
-    visited = bytearray(n_pos)
+    V = _vertex_matching(s)
+    n_nodes = s.n_edges * 6
+    across = [0] * n_nodes  # the other end of the sheet at each node
+    for e, c in enumerate(config):
+        p = S3[c]
+        for i in range(3):
+            a, b = 6 * e + i, 6 * e + 3 + p[i]
+            across[a], across[b] = b, a
+    visited = bytearray(n_nodes)
     words = []
-    for start in range(n_pos):
+    for start in range(n_nodes):
         if visited[start]:
             continue
         word = []
-        pos = start
+        node = start
         while True:
-            e, r = divmod(pos, 6)
-            dirn, slot = divmod(r, 3)
-            visited[pos] = 1
-            # mark the reverse traversal of the same sheet
-            p = S3[config[e]]
-            if dirn == 0:
-                visited[e * 6 + 3 + p[slot]] = 1
-            else:
-                visited[e * 6 + S3[S3_INVERSE[config[e]]][slot]] = 1
-            word.append(e + 1 if dirn == 0 else -(e + 1))
-            pos = step[e][config[e]][r]
-            if pos == start:
+            exit_node = across[node]
+            visited[node] = visited[exit_node] = 1
+            e = node // 6 + 1
+            word.append(e if node % 6 < 3 else -e)
+            node = V[exit_node]
+            if node == start:
                 break
         words.append(tuple(word))
     return tuple(words)
@@ -309,7 +270,7 @@ def _vertex_matching(s: Skeleton) -> tuple[int, ...]:
     return tuple(V)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _kernel_tables(s: Skeleton):
     """Per-skeleton constants of the scan kernel.
 
@@ -319,10 +280,12 @@ def _kernel_tables(s: Skeleton):
     that end, one balanced base-16 digit per column (no curve crosses an
     edge more than three times, so digits stay within [-3, 3] and packed
     integers add like their vectors).  Returns (fwd, bwd, shift, tails,
-    counts): fwd[e] and bwd[e] pack one sheet of edge e crossed tail to head
-    and head to tail; tails is the _TailTable of the last two edges and
-    counts the _CountLookahead of the edges above them.  Cached per
-    skeleton, so every prefix shard a process scans shares both tables.
+    counts, rows): fwd[e] and bwd[e] pack one sheet of edge e crossed tail
+    to head and head to tail; tails is the _TailTable of the last two edges,
+    counts the _CountLookahead of the edges above them and rows the
+    _RowDecoder of the curves' rows.  Cached for one skeleton: the scan
+    visits skeleta one at a time, so every prefix shard a process scans
+    shares these tables and a worker holds one skeleton's.
     """
     columns = boundary_columns(s)
     shift = (3 * s.n_edges).bit_length()
@@ -330,7 +293,9 @@ def _kernel_tables(s: Skeleton):
     fwd = tuple(digit.get(e + 1, 0) + 1 for e in range(s.n_edges))
     bwd = tuple(-digit.get(e + 1, 0) + 1 for e in range(s.n_edges))
     tails = _TailTable(6 * (s.n_edges - 2), fwd[-2:], bwd[-2:])
-    return fwd, bwd, shift, tails, _CountLookahead(6 * s.n_edges, s.complexity + 1)
+    counts = _CountLookahead(6 * s.n_edges, s.complexity + 1)
+    # a connected skeleton has t+1 non-tree edges
+    return fwd, bwd, shift, tails, counts, _RowDecoder(s.complexity + 1)
 
 
 # every (p, q) pair of permutations of the last two edges, in mixed-radix order
@@ -502,9 +467,8 @@ def enumerate_surfaces(s: Skeleton, min_disk_len: int = 1, prefix: GluingConfig 
     tail = n_edges - 2
     # the depths whose children the count lookahead filters
     look = max(0, tail - LOOKAHEAD_EDGES)
-    fwd, bwd, shift, tails, counts = _kernel_tables(s)
+    fwd, bwd, shift, tails, counts, rows_of = _kernel_tables(s)
     mask = (1 << shift) - 1
-    rows_of = _RowDecoder(target)  # a connected skeleton has t+1 non-tree edges
 
     config = list(prefix) + [0] * (n_edges - len(prefix))
     choices = [(c, c) for c in prefix] + [(0, 5)] * (n_edges - len(prefix))

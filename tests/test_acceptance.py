@@ -31,7 +31,8 @@ from fakesurfaces.algebra import (
 )
 from fakesurfaces.canon import canonical_form, canonical_key, germ_symmetries
 from fakesurfaces.formats import ingest_row, load_reference_listing
-from fakesurfaces.pipeline import classify
+from fakesurfaces import pipeline
+from fakesurfaces.pipeline import classify, scan_share
 from fakesurfaces.skeleta import enumerate_skeleta, skeleton_stats
 from fakesurfaces.surfaces import (
     Surface,
@@ -333,15 +334,24 @@ def test_criterion_8c_determinant_dual_oracle():
     report(8, True, f"(c) determinant oracles agree on {checked} boundary maps")
 
 
-def test_criterion_8d_shard_determinism():
-    digests = set()
-    for shards in (1, 4, 16):
-        r = classify(3, shards=shards)
-        digests.add(
-            hashlib.sha256("\n".join(rec.to_json() for rec in r.records).encode()).hexdigest()
-        )
+def _records_digest(records) -> str:
+    return hashlib.sha256("\n".join(rec.to_json() for rec in records).encode()).hexdigest()
+
+
+def test_criterion_8d_shard_determinism(tmp_path, monkeypatch):
+    digests = {_records_digest(classify(3).records)}
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a skeleton was scanned, not merged from its sweep")
+
+    monkeypatch.setattr(pipeline, "classify_skeleton", no_scan)
+    for m in (4, 16):
+        out = str(tmp_path / f"m{m}")
+        for k in range(1, m + 1):
+            scan_share(3, k, m, out)
+        digests.add(_records_digest(classify(3, out_dir=out).records))
     report(8, len(digests) == 1,
-           f"(d) classify(3) hashes identical across 1/4/16-way sharding")
+           f"(d) classify(3) hashes identical to merged 4- and 16-share sweeps")
 
 
 # criterion 9 -----------------------------------------------------------------

@@ -64,10 +64,15 @@ def test_classify_records_are_valid_and_flagged():
         assert rec.acyclic is True
 
 
-def test_determinism_across_shard_plans():
-    digests = set()
-    for shards in (1, 4, 16):
-        digests.add(_digest(classify(2, shards=shards)))
+def test_determinism_across_shard_plans(tmp_path, monkeypatch):
+    digests = {_digest(classify(2))}
+    scanned = _counting(monkeypatch, "classify_skeleton")
+    for m in (1, 4, 16):
+        out = str(tmp_path / f"m{m}")
+        for k in range(1, m + 1):
+            pipeline.scan_share(2, k, m, out)
+        digests.add(_digest(classify(2, out_dir=out)))
+    assert scanned == []  # every skeleton was merged from its sweep
     assert len(digests) == 1
 
 
@@ -196,6 +201,53 @@ def test_cli_classify_and_tables(tmp_path, capsys):
     assert "3/17" in text
     # refuse incomplete runs
     assert cli.main(["tables", "--max-complexity", "3", "--out", out]) == 1
+
+
+def test_cli_tables_refuses_a_run_filtered_by_disk_length(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    assert cli.main(["classify", "--complexity", "1", "--out", out]) == 0
+    argv = ["classify", "--complexity", "2", "--out", out]
+    assert cli.main(argv + ["--min-disk-len", "3"]) == 0
+    capsys.readouterr()
+    assert cli.main(["tables", "--max-complexity", "2", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "complexity 2" in err and "length at least 3" in err
+    # the census run of complexity 2 replaces it
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main(["tables", "--max-complexity", "2", "--out", out]) == 0
+    assert "3/17" in capsys.readouterr().out
+
+
+def test_load_census_refuses_a_run_of_some_skeleta(tmp_path):
+    out = str(tmp_path / "runs")
+    classify(2, skeleton_indices=[2], out_dir=out)
+    with pytest.raises(ValueError, match=r"complexity 2: .* only skeleta \[2\]"):
+        pipeline.load_census(out, 2)
+    classify(2, out_dir=out)
+    assert pipeline.load_census(out, 2).total == 17
+
+
+def test_load_census_refuses_a_surface_file_its_manifest_does_not_describe(
+        tmp_path, monkeypatch):
+    # a census run stopped after a filtered run leaves the filtered surface
+    # file under a manifest that records min_disk_len 1
+    out = str(tmp_path / "runs")
+    classify(2, min_disk_len=3, out_dir=out)
+    real = pipeline.classify_skeleton
+
+    def stopped(s, *args, **kwargs):
+        if s.index == 2:
+            raise RuntimeError("stopped")
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "classify_skeleton", stopped)
+    with pytest.raises(RuntimeError, match="stopped"):
+        classify(2, out_dir=out)
+    state = json.load(open(os.path.join(out, "manifest_t2.json")))
+    assert state["options"]["min_disk_len"] == 1
+    with pytest.raises(ValueError, match="complexity 2: .* is not the finished run"):
+        pipeline.load_census(out, 2)
 
 
 @pytest.mark.parametrize("t, jobs", ((2, "1"), (3, "2")), ids=("t2", "t3-jobs2"))
@@ -471,7 +523,7 @@ def test_verify_reports_a_stored_acyclic_claim_once(tmp_path):
 
 def test_reduce_rejects_an_orbit_that_escapes_the_survivors():
     s = skeleton_by_index(2, 1)
-    survivors = pipeline._scan(s, [()], 1, 1, None)
+    survivors = pipeline._scan(s, [()], 1, None)
     assert len(pipeline.reduce_survivors(s, survivors)) == 15
     orbit = config_orbit(s, survivors[0])
     assert len(orbit) > 1

@@ -68,12 +68,18 @@ def test_depth2_prefix_shards_concatenate_to_full_scan_t4(min_disk_len):
     assert sharded
 
 
-@pytest.mark.parametrize("t, shards", ((1, 12), (2, 216), (2, 1296)))
-def test_prefixes_pinning_the_tail_edges_give_the_unsharded_scan(t, shards):
-    # 12 shards (classify(1, jobs=2)) pin both tail edges at t=1; at t=2,
-    # 216 shards pin the first tail edge and 1296 pin both
-    jobs2 = pipeline.classify(t, jobs=2, shards=None if t == 1 else shards)
-    assert jobs2.records == pipeline.classify(t).records
+@pytest.mark.parametrize("t, shards", ((1, 36), (2, 216), (2, 1296)))
+def test_prefixes_pinning_the_tail_edges_give_the_unsharded_scan(tmp_path, t, shards):
+    # an m-share sweep scans shard_prefixes(s, 36 * m): at t=1 the 36 of
+    # classify's own plan pin both tail edges; at t=2, the 216 of m=6 pin
+    # the first tail edge and the 1296 of m=36 pin both
+    m = shards // pipeline.SHARE_TASKS
+    direct = pipeline.classify(t).records
+    assert pipeline.classify(t, jobs=2).records == direct
+    out = str(tmp_path / "runs")
+    for k in range(1, m + 1):
+        pipeline.scan_share(t, k, m, out, jobs=2)
+    assert pipeline.classify(t, out_dir=out).records == direct
     for s in enumerate_skeleta(t):
         prefixes = pipeline.shard_prefixes(s, shards)
         assert len(prefixes[0]) >= s.n_edges - 1
@@ -87,7 +93,7 @@ def test_prefix_shards_of_a_skeleton_share_one_tail_table():
     for p in pipeline.shard_prefixes(s, 36):
         pipeline._scan_shard((4, s.index, 3, p))
     assert _kernel_tables.cache_info().misses == 1
-    tails, counts = _kernel_tables(s)[3:]
+    tails, counts = _kernel_tables(s)[3:5]
     pairings, keys = len(tails), len(counts)
     assert pairings > 0 and keys > 0
     # the unsharded scan meets no pairing the shards did not fill in
@@ -161,11 +167,13 @@ def _stream_digest(s, min_disk_len):
                          ids=("len1-skeleta-2-9", "len3-all-skeleta"))
 def test_count_lookahead_keeps_the_leaf_stream(monkeypatch, min_disk_len, indices):
     skeleta = [skeleton_by_index(4, i) for i in indices]
-    pruned = [_stream_digest(s, min_disk_len) for s in skeleta]
+    pruned = []
     for s in skeleta:
+        pruned.append(_stream_digest(s, min_disk_len))
+        # the tables hold the last skeleton scanned, so look before the next
         masks = _kernel_tables(s)[4].values()
         assert any(m != 0b111111 for allowed in masks for m in allowed)  # it cuts
     real = surfaces._kernel_tables
     monkeypatch.setattr(surfaces, "_kernel_tables",
-                        lambda s: real(s)[:4] + (_EveryCount(),))
+                        lambda s: real(s)[:4] + (_EveryCount(),) + real(s)[5:])
     assert [_stream_digest(s, min_disk_len) for s in skeleta] == pruned
