@@ -28,8 +28,8 @@ for text, name in examples:
           + (f", order {v.order}" if v.order else "")
           + f"  ({v.cosets_used} cosets defined)")
 
-print("\nTietze simplification collapses balanced presentations of the")
-print("trivial group; the abalone's presentation dies instantly:")
+print("\nTietze simplification eliminates the generator of every relator of")
+print("length 1, repeatedly; the abalone's presentation dies instantly:")
 p = parse_presentation("a,b|abbab^-1,a")
 q = tietze_simplify(p)
 print(f"  {format_presentation(p)}  ->  {q.ngens} generators, {len(q.relators)} relators")

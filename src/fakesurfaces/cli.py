@@ -25,9 +25,8 @@ import sys
 
 from . import algebra, pipeline
 from .canon import canonical_form
-from .formats import normalize_orientations, read_records
-from .skeleta import enumerate_skeleta, skeleton_by_index, skeleton_record
-from .surfaces import Surface
+from .formats import ingest_row, read_records
+from .skeleta import enumerate_skeleta, skeleton_record
 
 
 def _shard_spec(value: str) -> tuple[int, int]:
@@ -160,8 +159,7 @@ def cmd_tables(args) -> int:
 def cmd_pi1(args) -> int:
     worst = 0
     for n, rec in enumerate(read_records(args.file), start=1):
-        s = skeleton_by_index(rec.complexity, rec.skeleton_index)
-        f = Surface(s, normalize_orientations(s, rec.disks))
+        f = ingest_row(rec)
         v = algebra.pi1_trivial(f, cap=args.coset_cap)
         desc = {"trivial": "trivial (proven)",
                 "finite": f"finite of order {v.order}",
@@ -174,9 +172,7 @@ def cmd_pi1(args) -> int:
 
 def cmd_canon(args) -> int:
     for n, rec in enumerate(read_records(args.file), start=1):
-        s = skeleton_by_index(rec.complexity, rec.skeleton_index)
-        f = Surface(s, normalize_orientations(s, rec.disks))
-        form = canonical_form(f)
+        form = canonical_form(ingest_row(rec))
         words = " | ".join(" ".join(str(x) for x in w) for w in form)
         print(f"{rec.complexity} {rec.skeleton_index} | {words}")
     return 0

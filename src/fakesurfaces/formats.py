@@ -163,14 +163,23 @@ def normalize_orientations(s: Skeleton, disks) -> tuple[Word, ...]:
     raise ValueError("no vertex matching reconciles the words with the skeleton")
 
 
-def ingest_row(row: ListingRow) -> Surface:
-    """Published listing row as a Surface in canonical conventions."""
+def ingest_row(row: ListingRow | SurfaceRecord) -> Surface:
+    """A listing row or native record as a Surface in canonical conventions;
+    only its complexity, skeleton_index and disks are read.  Raises
+    ValueError when the skeleton does not exist or the words fit it in no
+    orientation."""
     s = skeleton_by_index(row.complexity, row.skeleton_index)
     return Surface(s, normalize_orientations(s, row.disks))
 
 
 # ---------------------------------------------------------------------------
 # native records
+
+_FLAG_PAIRS = [[a, b] for a in "YN" for b in "YN"]
+
+
+def _is_int(x) -> bool:
+    return type(x) is int  # JSON true and false are not letters or indices
 
 
 @dataclass
@@ -198,14 +207,25 @@ class SurfaceRecord:
 
     @staticmethod
     def from_json(line: str) -> "SurfaceRecord":
+        """Parse one native record line; a malformed field raises ValueError
+        (or KeyError for a missing one) naming it."""
         d = json.loads(line)
+        sk = d.get("skeleton") if isinstance(d, dict) else None
+        if not (isinstance(sk, dict)
+                and _is_int(sk.get("complexity")) and _is_int(sk.get("index"))):
+            raise ValueError(f"skeleton {sk!r} is not {{complexity, index}} integers")
+        disks = d["disks"]
+        if not (isinstance(disks, list)
+                and all(isinstance(w, list) and all(map(_is_int, w)) for w in disks)):
+            raise ValueError(f"disks {disks!r} are not lists of integer letters")
+        flags = d.get("flags", [])
+        if not (isinstance(flags, list) and all(fl in _FLAG_PAIRS for fl in flags)):
+            raise ValueError(f"flags {flags!r} are not [embedded, bundle] pairs of Y or N")
         return SurfaceRecord(
-            complexity=d["skeleton"]["complexity"],
-            skeleton_index=d["skeleton"]["index"],
-            disks=tuple(tuple(w) for w in d["disks"]),
-            flags=tuple(
-                (fl[0] == "Y", fl[1] == "Y") for fl in d.get("flags", [])
-            ),
+            complexity=sk["complexity"],
+            skeleton_index=sk["index"],
+            disks=tuple(tuple(w) for w in disks),
+            flags=tuple((fl[0] == "Y", fl[1] == "Y") for fl in flags),
             acyclic=d.get("acyclic"),
             spine=d.get("spine"),
             pi1=d.get("pi1"),

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from . import algebra, canon, topology
-from .formats import SurfaceRecord, file_format, normalize_orientations, read_records
+from .formats import SurfaceRecord, file_format, ingest_row, read_records
 from .skeleta import Skeleton, enumerate_skeleta, skeleton_by_index, skeleton_stats
 from .surfaces import Surface, enumerate_surfaces, trace_gluing, validate_words
 
@@ -604,8 +604,10 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
     `representative` mismatch; published listing rows are exempt.  A record
     that is not acyclic gets an `acyclic` mismatch and its flags and spine
     are still checked, but its stored pi1 is not: no coset enumeration runs
-    for it.  Mismatches are collected, not raised; parse errors abort with
-    line info.
+    for it.  A record whose words fit its skeleton in no orientation gets
+    one `validity` mismatch naming the violation of the words as stored,
+    and a record of a skeleton that does not exist a `skeleton` mismatch.
+    Mismatches are collected, not raised; parse errors abort with line info.
     """
     records = read_records(path)
     native = file_format(path) == "native"
@@ -617,13 +619,15 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
         problems = []
         try:
             s = skeleton_by_index(rec.complexity, rec.skeleton_index)
-            disks = normalize_orientations(s, rec.disks)
         except ValueError as exc:
-            report["mismatches"].append({"record": n, "field": "words", "got": str(exc)})
+            report["mismatches"].append({"record": n, "field": "skeleton", "got": str(exc)})
             continue
-        f = Surface(s, disks)
-        v = validate_words(s, disks)
-        if not v:
+        try:
+            f = ingest_row(rec)
+        except ValueError:
+            # the words fit the skeleton in no orientation, so the stored
+            # orientation fails too: name its violation
+            v = validate_words(s, rec.disks)
             problems.append(("validity", f"{v.kind}: {v.detail}"))
         else:
             key = canon.geometric_key(f)

@@ -212,13 +212,14 @@ def trace_gluing(s: Skeleton, config: GluingConfig) -> tuple[Word, ...]:
     return tuple(words)
 
 
-def reconstruct_config(s: Skeleton, words) -> GluingConfig:
-    """Recover the per-edge sheet permutations from a valid word system.
+def sheet_matchings(s: Skeleton, words) -> list[dict[int, int]]:
+    """Recover each edge's sheets from a valid word system, as the matching
+    of its tail-end slot germs to its head-end slot germs.
 
     Each traversal of an edge pins one sheet: the arrival germ of the
     previous letter is the slot at the entry end, the departure germ of the
     next letter the slot at the exit end.  Three traversals determine the
-    permutation.  Raises ValueError if the words are not a valid gluing.
+    matching.  Raises ValueError if the words are not a valid gluing.
     """
     words = tuple(tuple(w) for w in words)
     _check_letters(s, words)
@@ -233,13 +234,19 @@ def reconstruct_config(s: Skeleton, words) -> GluingConfig:
             tail_slot_germ, head_slot_germ = (p, q) if x > 0 else (q, p)
             if pairs[e].setdefault(tail_slot_germ, head_slot_germ) != head_slot_germ:
                 raise ValueError(f"edge {e + 1}: sheets do not form a matching")
-    config = []
     for e in range(s.n_edges):
-        t_slots, h_slots = s.end_slots[e]
-        if sorted(pairs[e]) != sorted(t_slots):
+        if sorted(pairs[e]) != sorted(s.end_slots[e][0]):
             raise ValueError(f"edge {e + 1}: traversals do not cover all sheets")
-        perm = tuple(h_slots.index(pairs[e][g]) for g in t_slots)
-        config.append(S3_INDEX[perm])
+    return pairs
+
+
+def reconstruct_config(s: Skeleton, words) -> GluingConfig:
+    """The gluing of a valid word system: each edge's sheet matching
+    (sheet_matchings) as its S3 index.  Raises ValueError if the words are
+    not a valid gluing."""
+    config = []
+    for (t_slots, h_slots), pairs in zip(s.end_slots, sheet_matchings(s, words)):
+        config.append(S3_INDEX[tuple(h_slots.index(pairs[g]) for g in t_slots)])
     return tuple(config)
 
 

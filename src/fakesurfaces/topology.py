@@ -18,27 +18,9 @@ two germs x not touched by the corner.
 from __future__ import annotations
 
 from .skeleta import Skeleton
-from .surfaces import (
-    Surface,
-    arrival_germ,
-    departure_germ,
-    reconstruct_config,
-    S3,
-)
+from .surfaces import Surface, arrival_germ, departure_germ, sheet_matchings
 
 Word = tuple[int, ...]
-
-
-def _sheet_transport(s: Skeleton, disks) -> tuple[list[dict[int, int]], ...]:
-    """Per edge, the tail-end slot germ to head-end slot germ bijection of
-    its three sheets and its inverse, recovered from the word system."""
-    config = reconstruct_config(s, disks)
-    forward = []
-    for e, pi in enumerate(config):
-        t_slots, h_slots = s.end_slots[e]
-        p = S3[pi]
-        forward.append({t_slots[i]: h_slots[p[i]] for i in range(3)})
-    return forward, [{v: k for k, v in m.items()} for m in forward]
 
 
 def is_embedded(f: Surface, d: int) -> bool:
@@ -78,7 +60,8 @@ def disk_flags(f: Surface) -> list[tuple[bool, bool]]:
     """(embedded, trivial bundle) per disk, in word order; the sheet
     transport is recovered once for the whole surface."""
     s = f.skeleton
-    forward, backward = _sheet_transport(s, f.disks)
+    forward = sheet_matchings(s, f.disks)
+    backward = [{h: t for t, h in m.items()} for m in forward]
     return [
         (is_embedded(f, d), _arms_fixed(s, w, forward, backward))
         for d, w in enumerate(f.disks)

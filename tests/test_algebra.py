@@ -7,7 +7,8 @@ import pytest
 
 from fakesurfaces import algebra
 from fakesurfaces.skeleta import enumerate_skeleta, skeleton_by_index, spanning_tree
-from fakesurfaces.surfaces import Surface, enumerate_surfaces, trace_gluing
+from fakesurfaces.surfaces import Surface, enumerate_surfaces, trace_gluing, validate_words
+from fakesurfaces.topology import disk_flags
 from fakesurfaces.algebra import (
     Presentation,
     PresentationSyntaxError,
@@ -227,8 +228,24 @@ def test_binary_icosahedral_never_trivial():
     assert v.status == "finite" and v.order == 120
     assert not v.proven_trivial
     # simplification must not fake triviality either
-    v2 = coset_enumerate(tietze_simplify(p))
-    assert not v2.proven_trivial
+    q = tietze_simplify(p)
+    assert q.ngens == 2
+    v2 = coset_enumerate(q)
+    assert v2.status == "finite" and v2.order == 120
+
+
+def test_the_order_120_spine_of_complexity_5():
+    # the one class of a full complexity-5 run whose pi1 is not trivial: a
+    # spine of skeleton 28 whose table closes at 120 cosets (the binary
+    # icosahedral group)
+    s = skeleton_by_index(5, 28)
+    f = Surface(s, ((1, -2, -8, -10, 7), (1, -3, -10, 9, 5), (1, -4, 9, -8, 6),
+                    (2, -3, 6, -7, 9), (2, -4, 10, 6, -5), (3, -4, 7, -5, -8)))
+    assert validate_words(s, f.disks)
+    assert is_acyclic(f)
+    assert disk_flags(f) == [(True, True)] * 6
+    v = pi1_trivial(f)
+    assert v.status == "finite" and v.order == 120
 
 
 def test_cap_exhaustion_is_inconclusive():

@@ -1,5 +1,7 @@
 """Listing and record formats, ingestion with orientation normalization."""
 
+import json
+
 import pytest
 
 from fakesurfaces.formats import (
@@ -96,3 +98,21 @@ def test_read_records_detects_listing_format(tmp_path):
     recs = read_records(p)
     assert recs[0].complexity == 1
     assert recs[0].flags == ((False, True), (True, True))
+
+
+GOOD_RECORD = SurfaceRecord(1, 1, ((1, 2, 2, 1, -2), (1,)), ((False, True), (True, True)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("flags", [["Y", "X"], ["Y", "Y"]]),
+    ("flags", [["Y"]]),
+    ("skeleton", 5),
+    ("disks", "abc"),
+], ids=["flag-not-Y-or-N", "flag-pair-of-one", "skeleton-not-an-object", "disks-a-string"])
+def test_read_records_names_the_line_of_a_malformed_field(tmp_path, field, value):
+    bad = json.loads(GOOD_RECORD.to_json())
+    bad[field] = value
+    p = tmp_path / "bad.jsonl"
+    p.write_text(GOOD_RECORD.to_json() + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match=f"line 2: {field}"):
+        read_records(p)

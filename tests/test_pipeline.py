@@ -521,6 +521,26 @@ def test_verify_reports_a_stored_acyclic_claim_once(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("change, violation", [
+    (lambda disks: disks[:-1] + [disks[-1] + disks[-1][:1]], "edge 1 occurs 4 times, not 3"),
+    (lambda disks: disks[:-1], "edge 1 occurs 2 times, not 3"),
+], ids=["one-letter-appended", "one-disk-missing"])
+def test_verify_names_the_violation_of_invalid_words(tmp_path, change, violation):
+    out = str(tmp_path / "run")
+    classify(2, out_dir=out)
+    path = tmp_path / "run" / "surfaces_t2.jsonl"
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["disks"] = change(rec["disks"])
+    lines[0] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    report = verify_file(str(path))
+    assert report["verified"] == 16
+    assert report["mismatches"] == [
+        {"record": 1, "field": "validity", "got": f"type-1: {violation}"}
+    ]
+
+
 def test_reduce_rejects_an_orbit_that_escapes_the_survivors():
     s = skeleton_by_index(2, 1)
     survivors = pipeline._scan(s, [()], 1, None)

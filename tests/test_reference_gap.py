@@ -27,26 +27,14 @@ from fakesurfaces.canon import canonical_key, geometric_key
 from fakesurfaces.formats import ingest_row, load_reference_listing
 from fakesurfaces.pipeline import classify
 from fakesurfaces.skeleta import skeleton_by_index
-from fakesurfaces.surfaces import (
-    Surface,
-    reconstruct_config,
-    validate_words,
-    S3,
-)
+from fakesurfaces.surfaces import Surface, sheet_matchings, validate_words
 
 U_WORDS = ((4, -5), (4, -6), (2, -3, 6), (1, 1, -2, -5, 6, -5, 3, -1, -2, -4, 3))
 V_WORDS = ((4, -6), (5, -6), (2, -3, 6), (1, 1, -2, -5, 4, -5, 3, -1, -2, -4, 3))
 
 
 def _sheets(s, words):
-    cfg = reconstruct_config(s, words)
-    out = set()
-    for e, pi in enumerate(cfg):
-        t_slots, h_slots = s.end_slots[e]
-        p = S3[pi]
-        for i in range(3):
-            out.add((e, t_slots[i], h_slots[p[i]]))
-    return out
+    return {(e, t, h) for e, m in enumerate(sheet_matchings(s, words)) for t, h in m.items()}
 
 
 def _structure_isomorphisms(s, words_a, words_b):
