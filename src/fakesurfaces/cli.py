@@ -40,6 +40,13 @@ def _shard_spec(value: str) -> tuple[int, int]:
     return k, m
 
 
+def _jobs(value: str) -> int:
+    if not value.isdecimal() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be a whole number of at least 1, "
+                                         f"not {value!r}")
+    return int(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fakesurfaces", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -51,7 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify acyclic cellular fake surfaces")
     p.add_argument("--complexity", type=int, required=True)
     p.add_argument("--min-disk-len", type=int, default=1, choices=(1, 2, 3))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="worker processes; each skeleton's scan goes whole to one "
+                        "of them while there are at least as many skeleta to scan")
     p.add_argument("--shard", type=_shard_spec, default=None, metavar="k/m",
                    help="scan only share k of an m-share sweep and persist its "
                         "survivors; a later classify run merges complete sweeps")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .skeleta import Skeleton, skeleton_by_index
-from .surfaces import Surface, Word, validate_words
+from .surfaces import Surface, Word, letter_violation, validate_words
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,12 @@ def normalize_orientations(s: Skeleton, disks) -> tuple[Word, ...]:
 def ingest_row(row: ListingRow | SurfaceRecord) -> Surface:
     """A listing row or native record as a Surface in canonical conventions;
     only its complexity, skeleton_index and disks are read.  Raises
-    ValueError when the skeleton does not exist or the words fit it in no
-    orientation."""
+    ValueError when the words cannot be of the complexity (checked before
+    any skeleton is enumerated, see letter_violation), the skeleton does
+    not exist or the words fit it in no orientation."""
+    v = letter_violation(row.complexity, row.disks)
+    if v is not None:
+        raise ValueError(f"{v.kind}: {v.detail}")
     s = skeleton_by_index(row.complexity, row.skeleton_index)
     return Surface(s, normalize_orientations(s, row.disks))
 

@@ -1,28 +1,38 @@
 """End-to-end classification: enumerate, filter, quotient, flag, certify.
 
-For each skeleton of the requested complexity the gluing space is scanned
-in fixed prefix ranges (share 1 of 1 of the plan below, in a pool of
-worker processes when jobs > 1), acyclic survivors are collected as configuration
-tuples, and the reducer quotients them by the germ symmetries.  The scan is one
-explicit-stack DFS kernel (surfaces.enumerate_surfaces): it builds each
+Every skeleton's gluing space is scanned in fixed prefix ranges (share 1 of
+1 of the plan below), acyclic survivors are collected as configuration
+tuples, and the reducer quotients them by the germ symmetries.  The scan is
+one explicit-stack DFS kernel (surfaces.enumerate_surfaces): it builds each
 curve's boundary row as its path closes, skips a child near the end when no
 completion can close the curves still needed, stops before the last two
 edges and looks both edges' closures up per pairing of their open path
 ends; both tables are cached per skeleton, so a leaf costs one determinant
 (algebra.det_bareiss, a compiled straight-line formula at these sizes) and
-no word is traced.  The prefix ranges' survivors are concatenated in
-range order.  Words are traced only for the orbit representatives in the
-reduce, which keeps one set of survivors not yet in a reduced orbit: each
-survivor still in it removes its orbit and contributes one class whose
-representative is the orbit-minimal configuration.  That orbit is the only
-quotient applied.  Flags, the spine rule and the pi1 verdict of a class are
-derived by one helper that verify_file shares.  The published,
-coarser sign-flip key (canon.canonical_key) is computed once per class
-after the reduce and never merges anything: the pairs of classes it would
-merge are reported (ClassificationResult.sign_flip_merges, the manifest,
-verify_file).  Orbits never cross the survivor set's boundary, so the
-classes, their representatives and all derived data are independent of the
-share plan and job count; output files are byte-identical across runs.
+no word is traced.
+
+A run's scan is one task stream: every scanned skeleton's prefix ranges,
+one task each, in skeleton order, run in this process at jobs=1 and in a
+pool of worker processes otherwise.  While a run has at least `jobs`
+skeleta to scan, the pool takes the stream one skeleton's tasks per chunk,
+so each skeleton goes whole to one worker, which builds that skeleton's
+kernel tables once; a run of fewer skeleta is split in smaller chunks (see
+_scan_stream).  This process reduces each skeleton as its results arrive
+while the workers scan up to `jobs` skeleta ahead.  A skeleton's survivors
+are its ranges' survivors in range order.  Words are traced only for the
+orbit representatives in the reduce, which keeps one set of survivors not
+yet in a reduced orbit: each survivor still in it removes its orbit and
+contributes one class whose representative is the orbit-minimal
+configuration.  That orbit is the only quotient applied.
+Flags, the spine rule and the pi1 verdict of a class are derived by one
+helper that verify_file shares.  The published, coarser sign-flip key
+(canon.canonical_key) is computed per class right after each skeleton's
+reduce and never merges anything: the pairs of classes it would merge,
+always over one skeleton, are reported (ClassificationResult.sign_flip_merges,
+the manifest, verify_file).  Orbits never cross the survivor set's
+boundary, so the classes, their representatives and all derived data are
+independent of the share plan, the chunks and the job count; output files
+are byte-identical across runs.
 
 Results persist per complexity as a JSON-lines surface file plus a manifest
 with options, a fingerprint of the package's sources and content hashes;
@@ -34,17 +44,21 @@ of 1.  A scan too long for one run splits into a k-of-m sweep: scan_share
 writes a shard file per skeleton whose header holds the scan options,
 source fingerprint, skeleton, k, m and seconds.  classify takes each
 skeleton from the manifest, else from a complete sweep of matching shard
-files (reduced and stored like a scan), else from a scan.  load_census
-reads a finished run without a disk-length filter back for the tables.
+files (reduced and stored like a scan), else from a scan, and decides which
+before the stream starts.  A skeleton's seconds, in the manifest and in
+shard headers, are the summed times of its scan tasks, measured where they
+ran, plus (in the manifest) its reduce.  load_census reads a finished run
+without a disk-length filter back for the tables.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import time
-from collections import Counter
+from collections import Counter, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -52,7 +66,7 @@ from multiprocessing import Pool
 from . import algebra, canon, topology
 from .formats import SurfaceRecord, file_format, ingest_row, read_records
 from .skeleta import Skeleton, enumerate_skeleta, skeleton_by_index, skeleton_stats
-from .surfaces import Surface, enumerate_surfaces, trace_gluing, validate_words
+from .surfaces import Surface, enumerate_surfaces, letter_violation, trace_gluing, validate_words
 
 OUT_DIR_ENV = "FAKESURFACES_OUT"
 # the least number of scan tasks per skeleton in one share of a k-of-m sweep
@@ -102,6 +116,15 @@ def _scan_shard(args) -> list[tuple[int, ...]]:
     return [cfg for cfg, rows in leaves if abs(algebra.det_bareiss(rows)) == 1]
 
 
+def _timed_scan(args) -> tuple[bytes, float]:
+    """Worker: the survivors of one scan task, packed one byte per edge,
+    and the seconds it took.  As tuples, the survivors of the skeleta a
+    worker has scanned ahead take more memory than the worker's tables."""
+    started = time.perf_counter()
+    survivors = bytes(itertools.chain.from_iterable(_scan_shard(args)))
+    return survivors, time.perf_counter() - started
+
+
 def shard_prefixes(s: Skeleton, shards: int) -> list[tuple[int, ...]]:
     """Split the gluing space into at least `shards` fixed prefix ranges."""
     depth = 0
@@ -120,26 +143,67 @@ def share_prefixes(s: Skeleton, k: int, m: int) -> list[tuple[int, ...]]:
     return shard_prefixes(s, SHARE_TASKS * m)[k - 1 :: m]
 
 
+def _scan_stream(plans, min_disk_len: int, pool: Pool | None, jobs: int):
+    """The scan of a run as one task stream over plans, a list of
+    (skeleton, prefixes), in plan order: yields one iterator per plan over
+    the (survivors, seconds) of its _scan_shard tasks.
+
+    Without a pool the tasks run here as the iterators are consumed.  In
+    the pool a plan's tasks are submitted as the consumer takes the plan
+    `jobs` places before it: the workers scan ahead while the consumer
+    reduces, and hold at most `jobs` skeleta of results it has not taken.
+    With at least `jobs` plans each skeleton's tasks are one chunk, so it
+    goes whole to one worker, which builds its kernel tables once.  With
+    fewer the skeleta must be split, and chunks of ceil(tasks / (4 jobs)),
+    Pool.map's own size, balance their uneven prefix ranges; a worker keeps
+    a skeleton's tables over consecutive chunks of it."""
+    if len(plans) >= jobs:
+        chunk = max(len(prefixes) for _, prefixes in plans)
+    else:
+        chunk = -(-sum(len(prefixes) for _, prefixes in plans) // (4 * jobs))
+
+    def submit(s: Skeleton, prefixes):
+        tasks = [(s.complexity, s.index, min_disk_len, p) for p in prefixes]
+        if pool is None:
+            return map(_timed_scan, tasks)
+        return pool.imap(_timed_scan, tasks, chunksize=chunk)
+
+    submitted: deque = deque()
+    for plan in plans:
+        submitted.append(submit(*plan))
+        if len(submitted) > jobs:
+            yield submitted.popleft()
+    yield from submitted
+
+
+def _gather(s: Skeleton, scans) -> tuple[list[tuple[int, ...]], float]:
+    """The concatenated survivors and summed seconds of skeleton s's scan
+    tasks.  Each range comes back in mixed-radix order and ranges are
+    disjoint, so ascending prefixes give ascending survivors."""
+    packed, seconds = [], 0.0
+    for found, took in scans:
+        packed.append(found)
+        seconds += took
+    return list(zip(*[iter(b"".join(packed))] * s.n_edges)), seconds
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
+
+
 def classify_skeleton(
-    s: Skeleton,
-    min_disk_len: int = 1,
-    coset_cap: int = algebra.DEFAULT_COSET_CAP,
-    pool: Pool | None = None,
-) -> list[SurfaceRecord]:
-    """Classify all acyclic surfaces over one skeleton, scanned as share 1
-    of 1 (in the pool, if one is given); deterministic."""
-    survivors = _scan(s, share_prefixes(s, 1, 1), min_disk_len, pool)
-    return reduce_survivors(s, survivors, coset_cap)
-
-
-def _scan(s: Skeleton, prefixes, min_disk_len: int, pool: Pool | None):
-    """Survivors of some prefix ranges of one skeleton, one _scan_shard task
-    per prefix, in the pool, or in this process when pool is None.  Each
-    range comes back in mixed-radix order and ranges are disjoint, so
-    ascending prefixes give ascending survivors."""
-    tasks = [(s.complexity, s.index, min_disk_len, p) for p in prefixes]
-    outputs = map(_scan_shard, tasks) if pool is None else pool.map(_scan_shard, tasks)
-    return [cfg for output in outputs for cfg in output]
+    s: Skeleton, scans, coset_cap: int = algebra.DEFAULT_COSET_CAP
+) -> tuple[list[SurfaceRecord], float]:
+    """Classify all acyclic surfaces over one skeleton from its slice of the
+    run's scan stream (see _scan_stream): consume the slice, then reduce.
+    Returns the records, which are deterministic, and the seconds they
+    cost: the scan tasks' own times, as measured where they ran, plus the
+    reduce."""
+    survivors, seconds = _gather(s, scans)
+    started = time.perf_counter()
+    records = reduce_survivors(s, survivors, coset_cap)
+    return records, seconds + time.perf_counter() - started
 
 
 def scan_share(t: int, k: int, m: int, out_dir: str, min_disk_len: int = 1,
@@ -147,13 +211,16 @@ def scan_share(t: int, k: int, m: int, out_dir: str, min_disk_len: int = 1,
     """Scan share k of a k-of-m sweep of every skeleton of complexity t and
     persist its survivors under out_dir for classify(t, out_dir=out_dir) to
     merge.  Share k of skeleton s is share_prefixes(s, k, m), SHARE_TASKS
-    scan tasks or more to spread over its jobs."""
+    scan tasks or more.  The shares of all skeleta form one task stream,
+    run as in classify.  A shard header's seconds are the summed times of
+    the skeleton's scan tasks."""
+    _check_jobs(jobs)
     manifest = _Manifest(out_dir, t, min_disk_len)
+    plans = [(s, share_prefixes(s, k, m)) for s in enumerate_skeleta(t)]
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
-        for s in enumerate_skeleta(t):
-            started = time.time()
-            survivors = _scan(s, share_prefixes(s, k, m), min_disk_len, pool)
-            manifest.store_share(s, k, m, survivors, time.time() - started)
+        for (s, _), scans in zip(plans, _scan_stream(plans, min_disk_len, pool, jobs)):
+            survivors, seconds = _gather(s, scans)
+            manifest.store_share(s, k, m, survivors, seconds)
             if progress is not None:
                 progress(s, survivors)
 
@@ -227,14 +294,21 @@ def classify(
 ) -> ClassificationResult:
     """Classify complexity t end to end.
 
-    Each skeleton is scanned as share 1 of 1, in a pool of `jobs` workers
-    when jobs > 1.  With out_dir, results persist incrementally per skeleton
-    and a matching interrupted run resumes where it stopped.  A skeleton not
-    in the manifest is reduced from a complete scan_share sweep of matching
-    shard files when out_dir holds one.
+    With out_dir, results persist incrementally per skeleton and a matching
+    interrupted run resumes where it stopped.  Before any scan starts, each
+    skeleton is assigned a source: the manifest, else a complete scan_share
+    sweep of matching shard files in out_dir, else a scan as share 1 of 1.
+    The skeleta to scan form one task stream (_scan_stream), in this
+    process at jobs=1, else in a pool of `jobs` workers, where each
+    skeleton goes whole to one worker when there are at least `jobs`
+    skeleta to scan.  Skeleta are then taken in index order: a scanned one
+    by classify_skeleton from its slice of the stream, while the workers
+    scan later ones.  Each skeleton's classes get their published sign-flip
+    key right after they are reduced or loaded.
     """
     if t < 1:
         raise ValueError("complexity must be at least 1")
+    _check_jobs(jobs)
     skeleta = enumerate_skeleta(t)
     if skeleton_indices is not None:
         wanted = set(skeleton_indices)
@@ -245,28 +319,35 @@ def classify(
     result = ClassificationResult(t)
 
     manifest = None
+    loaded, sweeps = set(), {}
     if out_dir is not None:
         manifest = _Manifest(out_dir, t, min_disk_len, coset_cap)
+        loaded = {s.index for s in skeleta if manifest.has_skeleton(s.index)}
+        if len(loaded) < len(skeleta):
+            sweeps = manifest.complete_sweeps()
+    plans = [(s, share_prefixes(s, 1, 1)) for s in skeleta
+             if s.index not in loaded and s.index not in sweeps]
 
-    with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
+    with (Pool(jobs) if jobs > 1 and plans else nullcontext()) as pool:
+        scans = _scan_stream(plans, min_disk_len, pool, jobs)
         for s in skeleta:
-            if manifest is not None and manifest.has_skeleton(s.index):
+            if s.index in loaded:
                 records = manifest.load_skeleton(s.index)
             else:
-                started = time.time()
-                sweep = manifest.shard_sweep(s) if manifest is not None else None
-                if sweep is not None:
-                    survivors, scan_seconds = sweep
-                    started -= scan_seconds
+                if s.index in sweeps:
+                    started = time.perf_counter()
+                    survivors, seconds = _read_sweep(s, sweeps[s.index])
                     records = reduce_survivors(s, survivors, coset_cap)
+                    seconds += time.perf_counter() - started
                 else:
-                    records = classify_skeleton(s, min_disk_len, coset_cap, pool)
+                    records, seconds = classify_skeleton(s, next(scans), coset_cap)
                 if manifest is not None:
-                    manifest.store_skeleton(s.index, records, time.time() - started)
+                    manifest.store_skeleton(s.index, records, seconds)
+            result.sign_flip_merges += find_sign_flip_merges(
+                (r.surface() for r in records), start=result.total + 1)
             if progress is not None:
                 progress(s, records)
             result.records.extend(records)
-    result.sign_flip_merges = find_sign_flip_merges(r.surface() for r in result.records)
     if manifest is not None:
         manifest.finalize(result, [s.index for s in skeleta])
     return result
@@ -301,9 +382,10 @@ def load_census(out_dir: str, t: int) -> ClassificationResult:
     return result
 
 
-def find_sign_flip_merges(surfaces) -> list[tuple[int, int]]:
-    """Pairs (first, later) of 1-based positions whose surfaces lie over one
-    skeleton and in one published sign-flip class (canon.canonical_key).
+def find_sign_flip_merges(surfaces, start: int = 1) -> list[tuple[int, int]]:
+    """Pairs (first, later) of positions, counted from start, whose surfaces
+    lie over one skeleton and in one published sign-flip class
+    (canon.canonical_key).
 
     The classifier keeps such classes apart, since the sign-flip quotient
     can merge non-homeomorphic surfaces; this reports what the published
@@ -311,7 +393,7 @@ def find_sign_flip_merges(surfaces) -> list[tuple[int, int]]:
     """
     first_of_class: dict[tuple, int] = {}
     merges = []
-    for n, f in enumerate(surfaces, start=1):
+    for n, f in enumerate(surfaces, start=start):
         if f is None:
             continue
         s = f.skeleton
@@ -405,12 +487,13 @@ class _Manifest:
             fh.writelines(",".join(map(str, cfg)) + "\n" for cfg in survivors)
         os.replace(path + ".tmp", path)
 
-    def shard_sweep(self, s: Skeleton) -> tuple[set, float] | None:
-        """(survivors, summed scan seconds) of a complete k-of-m sweep of
-        skeleton s under these scan options, or None.  The plan is read from
-        the shard headers; every complete plan has the same survivors, and
-        the one with the fewest shares is read."""
-        plans: dict = {}  # m -> k -> (path, seconds)
+    def complete_sweeps(self) -> dict[int, list[tuple[str, float]]]:
+        """Per skeleton index, the (path, scan seconds) of the shard files
+        of a complete k-of-m sweep under these scan options; nothing is read
+        but the headers.  The plan is read from the headers; every complete
+        plan of a skeleton has the same survivors, and the one with the
+        fewest shares is taken."""
+        plans: dict = {}  # skeleton -> m -> k -> (path, seconds)
         names = os.listdir(self.shard_dir) if os.path.isdir(self.shard_dir) else ()
         for name in names:
             if name.endswith(".txt"):
@@ -418,14 +501,15 @@ class _Manifest:
                 header = _shard_header(path)
                 g, k, m, seconds = (header.pop(key, None)
                                     for key in ("skeleton", "k", "m", "seconds"))
-                if g == s.index and header == self.scan_options:
-                    plans.setdefault(m, {})[k] = (path, seconds)
-        for m, shares in sorted(plans.items()):
-            if set(shares) == set(range(1, m + 1)):
-                survivors = {cfg for path, _ in shares.values()
-                             for cfg in _read_shard(path, s.n_edges)}
-                return survivors, sum(seconds for _, seconds in shares.values())
-        return None
+                if header == self.scan_options:
+                    plans.setdefault(g, {}).setdefault(m, {})[k] = (path, seconds)
+        sweeps = {}
+        for g, by_m in plans.items():
+            for m, shares in sorted(by_m.items()):
+                if set(shares) == set(range(1, m + 1)):
+                    sweeps[g] = list(shares.values())
+                    break
+        return sweeps
 
     def finalize(self, result: ClassificationResult, indices: list[int]) -> None:
         combined = os.path.join(self.dir, f"surfaces_t{self.t}.jsonl")
@@ -457,6 +541,13 @@ class _Manifest:
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(self.state, fh, indent=1, sort_keys=True)
         os.replace(tmp, self.path)
+
+
+def _read_sweep(s: Skeleton, shares) -> tuple[set, float]:
+    """(survivors, summed scan seconds) of the shard files of one complete
+    sweep of skeleton s, as _Manifest.complete_sweeps lists them."""
+    survivors = {cfg for path, _ in shares for cfg in _read_shard(path, s.n_edges)}
+    return survivors, sum(seconds for _, seconds in shares)
 
 
 def _shard_header(path: str) -> dict:
@@ -607,6 +698,9 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
     for it.  A record whose words fit its skeleton in no orientation gets
     one `validity` mismatch naming the violation of the words as stored,
     and a record of a skeleton that does not exist a `skeleton` mismatch.
+    Words that fit no skeleton of the record's complexity, for want of 6t
+    letters over the 2t edges (surfaces.letter_violation), get their
+    `validity` mismatch before any skeleton is enumerated.
     Mismatches are collected, not raised; parse errors abort with line info.
     """
     records = read_records(path)
@@ -617,6 +711,11 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
     for n, rec in enumerate(records, start=1):
         distinct.append(None)
         problems = []
+        v = letter_violation(rec.complexity, rec.disks)
+        if v is not None:  # no skeleton of the complexity is enumerated
+            report["mismatches"].append(
+                {"record": n, "field": "validity", "got": f"{v.kind}: {v.detail}"})
+            continue
         try:
             s = skeleton_by_index(rec.complexity, rec.skeleton_index)
         except ValueError as exc:

@@ -94,13 +94,36 @@ def departure_germ(s: Skeleton, letter: int) -> int:
     return s.edge_tail_germ[e] if letter > 0 else s.edge_head_germ[e]
 
 
-def _check_letters(s: Skeleton, words) -> None:
+def _check_letters(n_edges: int, words) -> None:
     for w in words:
         if len(w) == 0:
             raise MalformedWordError("empty disk word")
         for x in w:
-            if x == 0 or abs(x) > s.n_edges:
+            if x == 0 or abs(x) > n_edges:
                 raise MalformedWordError(f"letter {x} is not an edge of the skeleton")
+
+
+def _count_violation(n_edges: int, words) -> Violation | None:
+    counts = [0] * n_edges
+    for w in words:
+        for x in w:
+            counts[abs(x) - 1] += 1
+    for e, c in enumerate(counts):
+        if c != 3:
+            return Violation("type-1", f"edge {e + 1} occurs {c} times, not 3")
+    return None
+
+
+def letter_violation(t: int, words) -> Violation | None:
+    """The violation of a complexity-t word system that shows over every
+    skeleton of complexity t, found without one: a letter beyond the 2t
+    edges (syntax) or an edge not traversed exactly three times (type-1),
+    so that the words do not have 6t letters.  None if there is none."""
+    try:
+        _check_letters(2 * t, words)
+    except MalformedWordError as exc:
+        return Violation("syntax", str(exc))
+    return _count_violation(2 * t, words)
 
 
 def corners_of(words, s: Skeleton) -> dict[int, list[tuple[int, int]]]:
@@ -110,7 +133,7 @@ def corners_of(words, s: Skeleton) -> dict[int, list[tuple[int, int]]]:
     Raises MalformedWordError when consecutive letters do not meet at a
     common vertex.
     """
-    _check_letters(s, words)
+    _check_letters(s.n_edges, words)
     out: dict[int, list[tuple[int, int]]] = {v: [] for v in range(s.complexity)}
     for wi, w in enumerate(words):
         n = len(w)
@@ -138,13 +161,9 @@ def validate_words(s: Skeleton, words) -> Valid | Violation:
     except MalformedWordError as exc:
         return Violation("syntax", str(exc))
 
-    counts = [0] * s.n_edges
-    for w in words:
-        for x in w:
-            counts[abs(x) - 1] += 1
-    for e, c in enumerate(counts):
-        if c != 3:
-            return Violation("type-1", f"edge {e + 1} occurs {c} times, not 3")
+    violation = _count_violation(s.n_edges, words)
+    if violation is not None:
+        return violation
 
     for v, pairs in corners.items():
         germs = range(4 * v, 4 * v + 4)
@@ -222,7 +241,7 @@ def sheet_matchings(s: Skeleton, words) -> list[dict[int, int]]:
     matching.  Raises ValueError if the words are not a valid gluing.
     """
     words = tuple(tuple(w) for w in words)
-    _check_letters(s, words)
+    _check_letters(s.n_edges, words)
     pairs: list[dict[int, int]] = [dict() for _ in range(s.n_edges)]
     for w in words:
         n = len(w)

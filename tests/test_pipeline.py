@@ -4,6 +4,9 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -543,7 +546,7 @@ def test_verify_names_the_violation_of_invalid_words(tmp_path, change, violation
 
 def test_reduce_rejects_an_orbit_that_escapes_the_survivors():
     s = skeleton_by_index(2, 1)
-    survivors = pipeline._scan(s, [()], 1, None)
+    survivors = pipeline._scan_shard((2, 1, 1, ()))
     assert len(pipeline.reduce_survivors(s, survivors)) == 15
     orbit = config_orbit(s, survivors[0])
     assert len(orbit) > 1
@@ -571,3 +574,115 @@ def test_verify_runs_no_pi1_on_a_record_that_is_not_acyclic(tmp_path, monkeypatc
     report = verify_file(str(path))
     assert calls == []
     assert [m["field"] for m in report["mismatches"]] == ["acyclic", "disk 1 flags"]
+
+
+def _logging_scans(monkeypatch, log, delay=0.0):
+    """Log "pid skeleton start-time" for every _scan_shard task from now
+    on, pool workers included (they fork after the patch), to the file log."""
+    real = pipeline._scan_shard
+
+    def logging(args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {args[1]} {time.time()}\n")
+        time.sleep(delay)
+        return real(args)
+
+    monkeypatch.setattr(pipeline, "_scan_shard", logging)
+
+
+def _logged(log) -> list[tuple[int, int, float]]:
+    """(pid, skeleton index, start time) per logged scan task."""
+    with open(log, encoding="utf-8") as fh:
+        return [(int(pid), int(index), float(started))
+                for pid, index, started in map(str.split, fh)]
+
+
+def test_stream_scans_only_the_skeleta_with_no_manifest_or_sweep(tmp_path, monkeypatch):
+    out = str(tmp_path / "runs")
+    classify(3, skeleton_indices=[1], out_dir=out)  # skeleton 1 in the manifest
+    for k in (1, 2):
+        pipeline.scan_share(3, k, 2, out)
+    for name in os.listdir(os.path.join(out, "shards")):
+        if not name.startswith("t3_g2_"):  # a complete sweep of skeleton 2 only
+            os.remove(os.path.join(out, "shards", name))
+    direct = classify(3).records
+    log = str(tmp_path / "tasks.log")
+    _logging_scans(monkeypatch, log)
+    assert classify(3, jobs=2, out_dir=out).records == direct
+    scanned = [index for _, index, _ in _logged(log)]
+    assert sorted(scanned) == [3] * pipeline.SHARE_TASKS + [4] * pipeline.SHARE_TASKS
+    state = json.load(open(os.path.join(out, "manifest_t3.json")))
+    assert all(state["skeletons"][g]["seconds"] > 0 for g in ("3", "4"))
+
+
+def test_stream_gives_each_skeleton_whole_to_one_worker(tmp_path, monkeypatch):
+    log = str(tmp_path / "tasks.log")
+    _logging_scans(monkeypatch, log)
+    assert _digest(classify(3, jobs=2)) == _digest(classify(3))
+    tasks = [task for task in _logged(log) if task[0] != os.getpid()]
+    assert len(tasks) == 4 * pipeline.SHARE_TASKS
+    for index in (1, 2, 3, 4):
+        assert len({pid for pid, g, _ in tasks if g == index}) == 1, index
+
+
+def test_stream_splits_a_lone_skeleton_over_the_workers(tmp_path, monkeypatch):
+    # 36 tasks in chunks of ceil(36 / 8); a short wait per task keeps the
+    # first worker busy while the second takes the next chunk
+    log = str(tmp_path / "tasks.log")
+    _logging_scans(monkeypatch, log, delay=0.02)
+    assert classify(3, skeleton_indices=[3], jobs=2).per_skeleton() == {3: 63}
+    pids = [pid for pid, _, _ in _logged(log)]
+    assert len(pids) == pipeline.SHARE_TASKS
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+
+
+def test_stream_scans_at_most_jobs_skeleta_ahead_of_the_reduce(tmp_path, monkeypatch):
+    # at jobs=2, skeleton 4 is submitted only when classify takes skeleton
+    # 2, although the workers would be free to scan it while skeleton 1 is
+    # slow to reduce
+    log = str(tmp_path / "tasks.log")
+    _logging_scans(monkeypatch, log)
+    real = pipeline.classify_skeleton
+    done = {}
+
+    def slow(s, *args, **kwargs):
+        if s.index == 1:
+            time.sleep(1.0)
+        result = real(s, *args, **kwargs)
+        done[s.index] = time.time()
+        return result
+
+    monkeypatch.setattr(pipeline, "classify_skeleton", slow)
+    assert classify(3, jobs=2).per_skeleton() == {1: 97, 2: 65, 3: 63, 4: 14}
+    started = [when for _, index, when in _logged(log) if index == 4]
+    assert len(started) == pipeline.SHARE_TASKS and min(started) > done[1]
+
+
+def test_jobs_below_one_are_refused(tmp_path, capsys):
+    out = tmp_path / "runs"
+    with pytest.raises(ValueError, match="jobs must be at least 1, not 0"):
+        classify(2, jobs=0, out_dir=str(out))
+    with pytest.raises(ValueError, match="jobs must be at least 1, not -1"):
+        pipeline.scan_share(2, 1, 2, str(out), jobs=-1)
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "--complexity", "2", "--jobs", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "jobs must be a whole number of at least 1, not '0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_rejects_a_record_of_a_complexity_its_letters_cannot_have(tmp_path):
+    # a complexity-9 record needs 54 letters; it must fail before the
+    # skeleta of complexity 9 are enumerated, which would take far longer
+    path = tmp_path / "c9.jsonl"
+    path.write_text('{"skeleton":{"complexity":9,"index":1},"disks":[[1]]}\n')
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "fakesurfaces.cli", "verify", str(path)],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert done.returncode == 1
+    assert "record 1: validity: type-1: edge 1 occurs 1 times, not 3" in done.stdout
+    record = read_records(str(path))[0]
+    with pytest.raises(ValueError, match="type-1: edge 1 occurs 1 times, not 3"):
+        pipeline.ingest_row(record)
