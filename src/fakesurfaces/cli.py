@@ -165,10 +165,25 @@ def cmd_tables(args) -> int:
     return 0
 
 
+def _ingested(path):
+    """(record number, record, Surface or None) per record of a surface
+    file.  A record that does not ingest has no Surface and is reported as
+    `record N: validity: <message>`, with ingest_row's message."""
+    for n, rec in enumerate(read_records(path), start=1):
+        try:
+            f = ingest_row(rec)
+        except ValueError as exc:
+            print(f"record {n}: validity: {exc}")
+            f = None
+        yield n, rec, f
+
+
 def cmd_pi1(args) -> int:
     worst = 0
-    for n, rec in enumerate(read_records(args.file), start=1):
-        f = ingest_row(rec)
+    for n, _, f in _ingested(args.file):
+        if f is None:
+            worst = 1
+            continue
         v = algebra.pi1_trivial(f, cap=args.coset_cap)
         desc = {"trivial": "trivial (proven)",
                 "finite": f"finite of order {v.order}",
@@ -180,11 +195,14 @@ def cmd_pi1(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    for n, rec in enumerate(read_records(args.file), start=1):
-        form = canonical_form(ingest_row(rec))
-        words = " | ".join(" ".join(str(x) for x in w) for w in form)
+    status = 0
+    for _, rec, f in _ingested(args.file):
+        if f is None:
+            status = 1
+            continue
+        words = " | ".join(" ".join(str(x) for x in w) for w in canonical_form(f))
         print(f"{rec.complexity} {rec.skeleton_index} | {words}")
-    return 0
+    return status
 
 
 def cmd_bp(args) -> int:

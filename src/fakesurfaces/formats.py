@@ -1,6 +1,8 @@
 """Text formats: reference listings, native records, and ingestion.
 
-Two line-oriented formats are supported.
+Two line-oriented formats are supported, and both parse to one record
+type, SurfaceRecord; read_records reads a file in either, chosen by its
+first record line.
 
 Reference listing format (the published classification tables):
 
@@ -16,9 +18,13 @@ each record's incidence structure, matches it onto the canonical skeleton,
 and negates the letters of every edge whose printed orientation disagrees
 with the tail = higher vertex convention used here.  The matching is unique
 up to a graph automorphism, which the canonical form quotients out.
+ingest_row is the one path from a record to a Surface; words that fit
+their skeleton in no orientation fail with one message, "<kind>: <detail>",
+naming the violation of the words as given.
 
 Native record format: one JSON object per line with fields
-{skeleton: {complexity, index}, disks, flags, acyclic, spine, pi1}.
+{skeleton: {complexity, index}, disks, flags, acyclic, spine, pi1}, written
+by SurfaceRecord.to_json, which pipeline calls once per record.
 """
 
 from __future__ import annotations
@@ -32,15 +38,8 @@ from .skeleta import Skeleton, skeleton_by_index
 from .surfaces import Surface, Word, letter_violation, validate_words
 
 
-@dataclass(frozen=True)
-class ListingRow:
-    complexity: int
-    skeleton_index: int
-    disks: tuple[Word, ...]
-    flags: tuple[tuple[bool, bool], ...]  # (embedded, t_trivial) as printed
-
-
-def parse_listing_line(line: str) -> ListingRow:
+def parse_listing_line(line: str) -> SurfaceRecord:
+    """One listing row as a record with its printed flags."""
     head, _, rest = line.partition("|")
     parts = head.split()
     if len(parts) != 2:
@@ -56,10 +55,10 @@ def parse_listing_line(line: str) -> ListingRow:
             raise ValueError(f"bad flags {flag_s!r}")
         disks.append(word)
         flags.append((fl[0] == "Y", fl[1] == "Y"))
-    return ListingRow(complexity, index, tuple(disks), tuple(flags))
+    return SurfaceRecord(complexity, index, tuple(disks), tuple(flags))
 
 
-def format_listing_line(row: ListingRow) -> str:
+def format_listing_line(row: SurfaceRecord) -> str:
     chunks = [
         " ".join(str(x) for x in w)
         + " : "
@@ -69,20 +68,11 @@ def format_listing_line(row: ListingRow) -> str:
     return f"{row.complexity} {row.skeleton_index} | " + " | ".join(chunks)
 
 
-def parse_listing(text: str) -> list[ListingRow]:
-    rows = []
-    for n, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rows.append(parse_listing_line(line))
-        except ValueError as exc:
-            raise ValueError(f"line {n}: {exc}") from exc
-    return rows
+def parse_listing(text: str) -> list[SurfaceRecord]:
+    return _parse_lines(text.splitlines(), parse_listing_line)
 
 
-def load_reference_listing(complexity: int) -> list[ListingRow]:
+def load_reference_listing(complexity: int) -> list[SurfaceRecord]:
     """The bundled published classification for complexity 1, 2 or 3."""
     if complexity not in (1, 2, 3):
         raise ValueError("reference listings cover complexities 1..3")
@@ -131,15 +121,19 @@ def normalize_orientations(s: Skeleton, disks) -> tuple[Word, ...]:
     """Rewrite a word system with unknown per-edge orientations into the
     canonical convention of skeleton s, negating flipped edges.
 
-    Raises ValueError when the words do not fit the skeleton at all.
+    Raises ValueError("<kind>: <detail>") naming the validate_words
+    violation of the words as given when they fit the skeleton in no
+    orientation.
     """
     disks = tuple(tuple(w) for w in disks)
-    if validate_words(s, disks):
+    given = validate_words(s, disks)
+    if given:
         return disks
+    failure = f"{given.kind}: {given.detail}"
     cls = _incidence_classes(disks, s.n_edges)
     t = s.complexity
-    if max(cls.values()) + 1 != t:
-        raise ValueError("incidence classes do not give one vertex per 4 germs")
+    if max(cls.values()) + 1 != t:  # not one vertex per 4 germs
+        raise ValueError(failure)
     for phi in itertools.permutations(range(t)):
         ok = True
         for e in range(1, s.n_edges + 1):
@@ -160,15 +154,16 @@ def normalize_orientations(s: Skeleton, disks) -> tuple[Word, ...]:
         )
         if validate_words(s, new):
             return new
-    raise ValueError("no vertex matching reconciles the words with the skeleton")
+    raise ValueError(failure)  # no vertex matching reconciles the words
 
 
-def ingest_row(row: ListingRow | SurfaceRecord) -> Surface:
-    """A listing row or native record as a Surface in canonical conventions;
-    only its complexity, skeleton_index and disks are read.  Raises
-    ValueError when the words cannot be of the complexity (checked before
-    any skeleton is enumerated, see letter_violation), the skeleton does
-    not exist or the words fit it in no orientation."""
+def ingest_row(row: SurfaceRecord) -> Surface:
+    """A record as a Surface in canonical conventions; only its complexity,
+    skeleton_index and disks are read.  Raises ValueError when the skeleton
+    does not exist, or "<kind>: <detail>" naming the violation of the words
+    as given when they cannot be of the complexity (checked before any
+    skeleton is enumerated, see letter_violation) or fit the skeleton in no
+    orientation."""
     v = letter_violation(row.complexity, row.disks)
     if v is not None:
         raise ValueError(f"{v.kind}: {v.detail}")
@@ -191,7 +186,7 @@ class SurfaceRecord:
     complexity: int
     skeleton_index: int
     disks: tuple[Word, ...]
-    flags: tuple[tuple[bool, bool], ...] = ()
+    flags: tuple[tuple[bool, bool], ...] = ()  # (embedded, t_trivial) per disk
     acyclic: bool | None = None
     spine: bool | None = None
     pi1: str | None = None  # "trivial" | "finite:<n>" | "inconclusive"
@@ -251,32 +246,25 @@ def file_format(path) -> str:
     return detect_format(first)
 
 
-def read_records(path) -> list[SurfaceRecord]:
-    """Read a surface file in either format; parse errors carry line numbers."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [
-            (n, l)
-            for n, l in enumerate((line.strip() for line in fh), start=1)
-            if l and not l.startswith("#")
-        ]
-    if not lines:
-        return []
-    native = detect_format(lines[0][1]) == "native"
+def _parse_lines(lines, parse=None) -> list[SurfaceRecord]:
+    """The records of lines, skipping blank and # comment lines, each read
+    by parse: by default the parser of the first record line's format.  A
+    parse error carries its line number."""
+    numbered = [(n, l) for n, l in enumerate((line.strip() for line in lines), start=1)
+                if l and not l.startswith("#")]
+    if parse is None and numbered:
+        native = detect_format(numbered[0][1]) == "native"
+        parse = SurfaceRecord.from_json if native else parse_listing_line
     out = []
-    for n, l in lines:
+    for n, l in numbered:
         try:
-            if native:
-                out.append(SurfaceRecord.from_json(l))
-            else:
-                row = parse_listing_line(l)
-                out.append(
-                    SurfaceRecord(
-                        complexity=row.complexity,
-                        skeleton_index=row.skeleton_index,
-                        disks=row.disks,
-                        flags=row.flags,
-                    )
-                )
+            out.append(parse(l))
         except (ValueError, KeyError) as exc:
             raise ValueError(f"line {n}: {exc}") from exc
     return out
+
+
+def read_records(path) -> list[SurfaceRecord]:
+    """Read a surface file in either format; parse errors carry line numbers."""
+    with open(path, encoding="utf-8") as fh:
+        return _parse_lines(fh)

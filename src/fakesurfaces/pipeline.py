@@ -34,21 +34,27 @@ boundary, so the classes, their representatives and all derived data are
 independent of the share plan, the chunks and the job count; output files
 are byte-identical across runs.
 
-Results persist per complexity as a JSON-lines surface file plus a manifest
-with options, a fingerprint of the package's sources and content hashes;
-skeletons already present in a manifest of the same options and code are
-skipped on resume.  One plan splits every scan: share k of an m-share
-sweep of a skeleton is share_prefixes(s, k, m), at least SHARE_TASKS prefix
-ranges whatever the job count, one scan task each; classify scans share 1
-of 1.  A scan too long for one run splits into a k-of-m sweep: scan_share
-writes a shard file per skeleton whose header holds the scan options,
-source fingerprint, skeleton, k, m and seconds.  classify takes each
-skeleton from the manifest, else from a complete sweep of matching shard
-files (reduced and stored like a scan), else from a scan, and decides which
-before the stream starts.  A skeleton's seconds, in the manifest and in
-shard headers, are the summed times of its scan tasks, measured where they
-ran, plus (in the manifest) its reduce.  load_census reads a finished run
-without a disk-length filter back for the tables.
+Results persist per complexity in out_dir: one JSON-lines part file per
+skeleton, surfaces_t{t}_g{i}.jsonl, where each record is serialized once
+(formats.SurfaceRecord.to_json); the combined file surfaces_t{t}.jsonl,
+which is the run's part files concatenated byte for byte in skeleton
+order; and a manifest with options, a fingerprint of the package's sources
+and the content hashes of every part and of the combined file.  Skeletons
+already present in a manifest of the same options and code, with a part
+file of the recorded hash, are loaded, not scanned, on resume.
+
+One plan splits every scan: share k of an m-share sweep of a skeleton is
+share_prefixes(s, k, m), at least SHARE_TASKS prefix ranges whatever the
+job count, one scan task each; classify scans share 1 of 1.  A scan too
+long for one run splits into a k-of-m sweep: scan_share writes a shard
+file per skeleton whose header holds the scan options, source fingerprint,
+skeleton, k, m and seconds.  classify takes each skeleton from the
+manifest, else from a complete sweep of matching shard files (reduced and
+stored like a scan), else from a scan, and decides which before the stream
+starts.  A skeleton's seconds, in the manifest and in shard headers, are
+the summed times of its scan tasks, measured where they ran, plus (in the
+manifest) its reduce.  load_census reads a finished run without a
+disk-length filter back for the tables.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ import hashlib
 import itertools
 import json
 import os
+import shutil
 import time
 from collections import Counter, deque
 from contextlib import nullcontext
@@ -66,7 +73,7 @@ from multiprocessing import Pool
 from . import algebra, canon, topology
 from .formats import SurfaceRecord, file_format, ingest_row, read_records
 from .skeleta import Skeleton, enumerate_skeleta, skeleton_by_index, skeleton_stats
-from .surfaces import Surface, enumerate_surfaces, letter_violation, trace_gluing, validate_words
+from .surfaces import Surface, enumerate_surfaces, letter_violation, trace_gluing
 
 OUT_DIR_ENV = "FAKESURFACES_OUT"
 # the least number of scan tasks per skeleton in one share of a k-of-m sweep
@@ -187,9 +194,11 @@ def _gather(s: Skeleton, scans) -> tuple[list[tuple[int, ...]], float]:
     return list(zip(*[iter(b"".join(packed))] * s.n_edges)), seconds
 
 
-def _check_jobs(jobs: int) -> None:
+def _check_options(jobs: int, min_disk_len: int) -> None:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
+    if min_disk_len < 1:
+        raise ValueError(f"min_disk_len must be at least 1, not {min_disk_len}")
 
 
 def classify_skeleton(
@@ -214,7 +223,7 @@ def scan_share(t: int, k: int, m: int, out_dir: str, min_disk_len: int = 1,
     scan tasks or more.  The shares of all skeleta form one task stream,
     run as in classify.  A shard header's seconds are the summed times of
     the skeleton's scan tasks."""
-    _check_jobs(jobs)
+    _check_options(jobs, min_disk_len)
     manifest = _Manifest(out_dir, t, min_disk_len)
     plans = [(s, share_prefixes(s, k, m)) for s in enumerate_skeleta(t)]
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
@@ -308,7 +317,7 @@ def classify(
     """
     if t < 1:
         raise ValueError("complexity must be at least 1")
-    _check_jobs(jobs)
+    _check_options(jobs, min_disk_len)
     skeleta = enumerate_skeleta(t)
     if skeleton_indices is not None:
         wanted = set(skeleton_indices)
@@ -512,26 +521,19 @@ class _Manifest:
         return sweeps
 
     def finalize(self, result: ClassificationResult, indices: list[int]) -> None:
+        """Write the combined file: the part files of indices, each stored
+        or loaded by this run, concatenated byte for byte in that order."""
         combined = os.path.join(self.dir, f"surfaces_t{self.t}.jsonl")
         tmp = combined + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for r in result.records:
-                fh.write(r.to_json() + "\n")
+        with open(tmp, "wb") as fh:
+            for index in indices:
+                with open(self._part_path(index), "rb") as part:
+                    shutil.copyfileobj(part, fh)
         os.replace(tmp, combined)
-        # listing-format twin for eyeball diffs against published tables
-        from .formats import ListingRow, format_listing_line
-
-        listing = os.path.join(self.dir, f"listing_t{self.t}.txt")
-        with open(listing + ".tmp", "w", encoding="utf-8") as fh:
-            for r in result.records:
-                row = ListingRow(r.complexity, r.skeleton_index, r.disks, r.flags)
-                fh.write(format_listing_line(row) + "\n")
-        os.replace(listing + ".tmp", listing)
         self.state["combined"] = {
             "skeletons": indices,
             "surfaces": result.total,
             "sha256": _sha256(combined),
-            "listing_sha256": _sha256(listing),
             "sign_flip_merges": [list(pair) for pair in result.sign_flip_merges],
         }
         self._write()
@@ -610,39 +612,29 @@ def emit_table1(results: dict[int, ClassificationResult]) -> str:
     return "\n".join(lines)
 
 
+def _skeleton_stat_table(max_complexity: int, stat: str, columns=None) -> str:
+    """Skeleta of complexity 1..max_complexity counted by skeleton_stats
+    value `stat`: a row per complexity, a column per value in columns
+    (default 0 up to the largest value counted), then the total."""
+    counts = [Counter(skeleton_stats(s)[stat] for s in enumerate_skeleta(t))
+              for t in range(1, max_complexity + 1)]
+    if columns is None:
+        columns = range(max((max(c) + 1 for c in counts), default=0))
+    lines = ["\t".join(["t", *map(str, columns), "total"])]
+    for t, c in enumerate(counts, start=1):
+        row = [t, *(c.get(k, 0) for k in columns), sum(c.values())]
+        lines.append("\t".join(map(str, row)))
+    return "\n".join(lines)
+
+
 def emit_table2(max_complexity: int) -> str:
     """Skeleta by complexity and number of self-loops."""
-    rows = []
-    width = 0
-    for t in range(1, max_complexity + 1):
-        c = Counter(skeleton_stats(s)["self_loops"] for s in enumerate_skeleta(t))
-        rows.append((t, c))
-        width = max(width, max(c) + 1)
-    lines = ["\t".join(["t"] + [str(k) for k in range(width)] + ["total"])]
-    for t, c in rows:
-        lines.append(
-            "\t".join(
-                [str(t)]
-                + [str(c.get(k, 0)) for k in range(width)]
-                + [str(sum(c.values()))]
-            )
-        )
-    return "\n".join(lines)
+    return _skeleton_stat_table(max_complexity, "self_loops")
 
 
 def emit_table3(max_complexity: int) -> str:
     """Skeleta by length of the shortest cycle."""
-    lines = ["\t".join(["t", "1", "2", "3", "total"])]
-    for t in range(1, max_complexity + 1):
-        c = Counter(skeleton_stats(s)["girth"] for s in enumerate_skeleta(t))
-        lines.append(
-            "\t".join(
-                [str(t)]
-                + [str(c.get(k, 0)) for k in (1, 2, 3)]
-                + [str(sum(c.values()))]
-            )
-        )
-    return "\n".join(lines)
+    return _skeleton_stat_table(max_complexity, "girth", (1, 2, 3))
 
 
 def emit_tables(results: dict[int, ClassificationResult]) -> str:
@@ -711,23 +703,16 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
     for n, rec in enumerate(records, start=1):
         distinct.append(None)
         problems = []
-        v = letter_violation(rec.complexity, rec.disks)
-        if v is not None:  # no skeleton of the complexity is enumerated
-            report["mismatches"].append(
-                {"record": n, "field": "validity", "got": f"{v.kind}: {v.detail}"})
-            continue
-        try:
-            s = skeleton_by_index(rec.complexity, rec.skeleton_index)
-        except ValueError as exc:
-            report["mismatches"].append({"record": n, "field": "skeleton", "got": str(exc)})
-            continue
+        if letter_violation(rec.complexity, rec.disks) is None:  # else enumerate no skeleton
+            try:
+                skeleton_by_index(rec.complexity, rec.skeleton_index)
+            except ValueError as exc:
+                report["mismatches"].append({"record": n, "field": "skeleton", "got": str(exc)})
+                continue
         try:
             f = ingest_row(rec)
-        except ValueError:
-            # the words fit the skeleton in no orientation, so the stored
-            # orientation fails too: name its violation
-            v = validate_words(s, rec.disks)
-            problems.append(("validity", f"{v.kind}: {v.detail}"))
+        except ValueError as exc:  # words not of the complexity or fitting in no orientation
+            problems.append(("validity", str(exc)))
         else:
             key = canon.geometric_key(f)
             first = first_of_class.setdefault((rec.complexity, rec.skeleton_index, key), n)

@@ -13,7 +13,6 @@ import pytest
 from fakesurfaces import cli, pipeline
 from fakesurfaces.canon import config_orbit, geometric_form
 from fakesurfaces.formats import (
-    ListingRow,
     SurfaceRecord,
     format_listing_line,
     load_reference_listing,
@@ -156,7 +155,7 @@ def test_verify_reference_listing(tmp_path):
 def test_verify_detects_single_flipped_flag(tmp_path):
     rows = load_reference_listing(2)
     row = rows[0]
-    flipped = ListingRow(
+    flipped = SurfaceRecord(
         row.complexity,
         row.skeleton_index,
         row.disks,
@@ -295,12 +294,33 @@ def test_verify_full_reference_complexity3(tmp_path):
     assert report["verified"] == 238
 
 
-def test_classify_writes_listing_twin(tmp_path):
-    out = str(tmp_path / "run")
-    classify(1, out_dir=out)
-    listing = (tmp_path / "run" / "listing_t1.txt").read_text().splitlines()
-    assert len(listing) == 2
-    assert listing[0].startswith("1 1 | ")
+def test_combined_file_is_the_concatenated_part_files(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+
+    def assert_concatenated(result):
+        parts = b"".join((out / f"surfaces_t3_g{g}.jsonl").read_bytes() for g in (1, 2, 3, 4))
+        combined = (out / "surfaces_t3.jsonl").read_bytes()
+        assert combined == parts
+        assert combined.decode().splitlines() == [r.to_json() for r in result.records]
+        state = json.loads((out / "manifest_t3.json").read_text())
+        assert state["combined"] == {
+            "skeletons": [1, 2, 3, 4],
+            "surfaces": 239,
+            "sha256": hashlib.sha256(combined).hexdigest(),
+            "sign_flip_merges": [],
+        }
+        assert list(out.glob("listing_t*.txt")) == []
+
+    fresh = classify(3, out_dir=str(out))
+    assert_concatenated(fresh)
+    scanned = _counting(monkeypatch, "classify_skeleton")
+    assert classify(3, out_dir=str(out)).records == fresh.records
+    assert scanned == []  # every skeleton was loaded
+    assert_concatenated(fresh)
+    os.remove(out / "surfaces_t3_g2.jsonl")
+    assert classify(3, out_dir=str(out)).records == fresh.records
+    assert scanned == [2]
+    assert_concatenated(fresh)
 
 
 def test_classify_skeleton_subset():
@@ -670,6 +690,38 @@ def test_jobs_below_one_are_refused(tmp_path, capsys):
     assert exc.value.code == 2
     assert "jobs must be a whole number of at least 1, not '0'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_min_disk_len_below_one_is_refused(tmp_path):
+    out = tmp_path / "runs"
+    for min_disk_len in (0, -3):
+        with pytest.raises(ValueError, match=f"min_disk_len must be at least 1, "
+                                             f"not {min_disk_len}"):
+            classify(2, min_disk_len=min_disk_len, out_dir=str(out))
+        with pytest.raises(ValueError, match=f"min_disk_len must be at least 1, "
+                                             f"not {min_disk_len}"):
+            pipeline.scan_share(2, 1, 2, str(out), min_disk_len=min_disk_len)
+    assert not out.exists()
+
+
+# six letters, each edge three times, that fit complexity-1 skeleton 1 in no
+# orientation, then a good row
+BAD_THEN_GOOD = "1 1 | 1 1 : Y Y | 2 2 2 1 : N Y\n1 1 | 1 2 2 1 -2 : N Y | 1 : Y Y\n"
+
+
+@pytest.mark.parametrize("command, good", [
+    ("pi1", "record 2: trivial (proven)"),
+    ("canon", "1 1 | 1 | 1 2 1 -2 -2"),
+])
+def test_cli_pi1_and_canon_report_a_row_that_does_not_ingest(tmp_path, capsys,
+                                                              command, good):
+    path = tmp_path / "rows.txt"
+    path.write_text(BAD_THEN_GOOD)
+    assert cli.main(["verify", str(path)]) == 1
+    verify_line = capsys.readouterr().out.splitlines()[1].strip()
+    assert verify_line.startswith("record 1: validity: type-2: vertex 0: ")
+    assert cli.main([command, str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [verify_line, good]
 
 
 def test_verify_rejects_a_record_of_a_complexity_its_letters_cannot_have(tmp_path):
