@@ -24,8 +24,10 @@ occurrences of any single edge as a pure string move, matching the move
 list the reference classification was reduced with; see the note above
 _letter_tables.  It is one exact search over every edge permutation at
 once (_min_signed_list).  The classifier's reduce quotients by
-configuration orbits alone (the geometric quotient); surfaces are deduped
-by comparing their geometric_key.  The published quotient is a cross-check
+configuration orbits alone (the geometric quotient): orbit_minima keeps the
+survivors no germ symmetry maps below themselves, by the early-abort
+canonicity test of orderly generation, one per orbit.  Surfaces are
+deduped by comparing their geometric_key.  The published quotient is a cross-check
 that merges nothing: classify and verify report any two classes it would
 merge, and it merges none at complexity 4 and below nor among the 111,460
 classes of complexity 5.
@@ -175,6 +177,49 @@ def config_orbit(s: Skeleton, config: GluingConfig) -> set[GluingConfig]:
             out[perm[e]] = table[e][pi]
         orbit.add(tuple(out))
     return orbit
+
+
+def orbit_minima(s: Skeleton, configs) -> list[GluingConfig]:
+    """The configurations in configs that no germ symmetry maps to a
+    lexicographically smaller one, as tuples in the order of configs: one
+    per orbit that configs holds a minimum of.
+
+    The early-abort canonicity test of orderly generation: each symmetry's
+    image is compared with the configuration edge by edge, in image order,
+    and the comparison stops at the first difference.  Positions a symmetry
+    never changes are skipped, and so is the identity.  A symmetry that
+    rejects a configuration is tried first on the next one, which in scan
+    order mostly shares its prefix.  configs is a sized collection of
+    configurations (tuples, or bytes of one index per edge); the tests are
+    built per call, and only when it is not empty.
+    """
+    if not configs:
+        return []
+    unchanged = tuple(range(len(S3)))
+    tests = {}
+    for sym, table in zip(germ_symmetries(s), _config_transforms(s)):
+        source = {e2: e for e, e2 in enumerate(sym.edge_perm)}
+        steps = tuple((j, source[j], table[source[j]]) for j in range(s.n_edges)
+                      if source[j] != j or table[j] != unchanged)
+        if steps:
+            tests[steps] = None
+    tests = list(tests)
+    minima = []
+    for cfg in configs:
+        for k, steps in enumerate(tests):
+            for j, e, row in steps:
+                image, own = row[cfg[e]], cfg[j]
+                if image != own:
+                    break
+            else:
+                continue  # the symmetry fixes cfg
+            if image < own:
+                if k:  # try it first from now on: neighbours share prefixes
+                    tests[0], tests[k] = steps, tests[0]
+                break
+        else:
+            minima.append(tuple(cfg))
+    return minima
 
 
 def geometric_form(f: Surface) -> tuple[Word, ...]:

@@ -25,7 +25,7 @@ import sys
 
 from . import algebra, pipeline
 from .canon import canonical_form
-from .formats import ingest_row, read_records
+from .formats import IngestError, ingest_row, read_records
 from .skeleta import enumerate_skeleta, skeleton_record
 
 
@@ -168,12 +168,12 @@ def cmd_tables(args) -> int:
 def _ingested(path):
     """(record number, record, Surface or None) per record of a surface
     file.  A record that does not ingest has no Surface and is reported as
-    `record N: validity: <message>`, with ingest_row's message."""
+    `record N: <field>: <message>`, as verify reports it."""
     for n, rec in enumerate(read_records(path), start=1):
         try:
             f = ingest_row(rec)
-        except ValueError as exc:
-            print(f"record {n}: validity: {exc}")
+        except IngestError as exc:
+            print(f"record {n}: {exc.field}: {exc}")
             f = None
         yield n, rec, f
 

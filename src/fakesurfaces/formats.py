@@ -18,9 +18,11 @@ each record's incidence structure, matches it onto the canonical skeleton,
 and negates the letters of every edge whose printed orientation disagrees
 with the tail = higher vertex convention used here.  The matching is unique
 up to a graph automorphism, which the canonical form quotients out.
-ingest_row is the one path from a record to a Surface; words that fit
-their skeleton in no orientation fail with one message, "<kind>: <detail>",
-naming the violation of the words as given.
+ingest_row is the one path from a record to a Surface, and the one order
+of its checks; a failure is an IngestError naming the failed check
+(skeleton or validity), and words that fit their skeleton in no
+orientation fail with one message, "<kind>: <detail>", naming the
+violation of the words as given.
 
 Native record format: one JSON object per line with fields
 {skeleton: {complexity, index}, disks, flags, acyclic, spine, pi1}, written
@@ -157,18 +159,34 @@ def normalize_orientations(s: Skeleton, disks) -> tuple[Word, ...]:
     raise ValueError(failure)  # no vertex matching reconciles the words
 
 
+class IngestError(ValueError):
+    """A record that does not ingest; field names the check it failed,
+    "skeleton" or "validity"."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def ingest_row(row: SurfaceRecord) -> Surface:
     """A record as a Surface in canonical conventions; only its complexity,
-    skeleton_index and disks are read.  Raises ValueError when the skeleton
-    does not exist, or "<kind>: <detail>" naming the violation of the words
-    as given when they cannot be of the complexity (checked before any
-    skeleton is enumerated, see letter_violation) or fit the skeleton in no
-    orientation."""
+    skeleton_index and disks are read.  The checks run in one order, and
+    the first that fails raises IngestError: "validity" with "<kind>:
+    <detail>" when the letters cannot be of the complexity (checked before
+    any skeleton is enumerated, see letter_violation), "skeleton" when the
+    skeleton does not exist, and "validity" when the words fit the skeleton
+    in no orientation."""
     v = letter_violation(row.complexity, row.disks)
     if v is not None:
-        raise ValueError(f"{v.kind}: {v.detail}")
-    s = skeleton_by_index(row.complexity, row.skeleton_index)
-    return Surface(s, normalize_orientations(s, row.disks))
+        raise IngestError("validity", f"{v.kind}: {v.detail}")
+    try:
+        s = skeleton_by_index(row.complexity, row.skeleton_index)
+    except ValueError as exc:
+        raise IngestError("skeleton", str(exc)) from None
+    try:
+        return Surface(s, normalize_orientations(s, row.disks))
+    except ValueError as exc:
+        raise IngestError("validity", str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,13 @@ so each skeleton goes whole to one worker, which builds that skeleton's
 kernel tables once; a run of fewer skeleta is split in smaller chunks (see
 _scan_stream).  This process reduces each skeleton as its results arrive
 while the workers scan up to `jobs` skeleta ahead.  A skeleton's survivors
-are its ranges' survivors in range order.  Words are traced only for the
-orbit representatives in the reduce, which keeps one set of survivors not
-yet in a reduced orbit: each survivor still in it removes its orbit and
-contributes one class whose representative is the orbit-minimal
-configuration.  That orbit is the only quotient applied.
+are its ranges' survivors in range order, packed one byte per edge, and
+the reduce reads them packed: the early-abort canonicity test
+(canon.orbit_minima) keeps each survivor no germ symmetry maps below
+itself, the minimum of its orbit and the representative of one class, and
+orbit-stabilizer accounting checks that the classes' orbits hold exactly
+the survivors.  Words are traced only for the representatives.  That
+orbit is the only quotient applied.
 Flags, the spine rule and the pi1 verdict of a class are derived by one
 helper that verify_file shares.  The published, coarser sign-flip key
 (canon.canonical_key) is computed per class right after each skeleton's
@@ -71,9 +73,9 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from . import algebra, canon, topology
-from .formats import SurfaceRecord, file_format, ingest_row, read_records
+from .formats import IngestError, SurfaceRecord, file_format, ingest_row, read_records
 from .skeleta import Skeleton, enumerate_skeleta, skeleton_by_index, skeleton_stats
-from .surfaces import Surface, enumerate_surfaces, letter_violation, trace_gluing
+from .surfaces import Surface, enumerate_surfaces, trace_gluing
 
 OUT_DIR_ENV = "FAKESURFACES_OUT"
 # the least number of scan tasks per skeleton in one share of a k-of-m sweep
@@ -125,8 +127,8 @@ def _scan_shard(args) -> list[tuple[int, ...]]:
 
 def _timed_scan(args) -> tuple[bytes, float]:
     """Worker: the survivors of one scan task, packed one byte per edge,
-    and the seconds it took.  As tuples, the survivors of the skeleta a
-    worker has scanned ahead take more memory than the worker's tables."""
+    and the seconds it took.  They stay packed up to the reduce (Packed):
+    a tuple per survivor takes over ten times the memory."""
     started = time.perf_counter()
     survivors = bytes(itertools.chain.from_iterable(_scan_shard(args)))
     return survivors, time.perf_counter() - started
@@ -153,7 +155,7 @@ def share_prefixes(s: Skeleton, k: int, m: int) -> list[tuple[int, ...]]:
 def _scan_stream(plans, min_disk_len: int, pool: Pool | None, jobs: int):
     """The scan of a run as one task stream over plans, a list of
     (skeleton, prefixes), in plan order: yields one iterator per plan over
-    the (survivors, seconds) of its _scan_shard tasks.
+    the (packed survivors, seconds) of its scan tasks (_timed_scan).
 
     Without a pool the tasks run here as the iterators are consumed.  In
     the pool a plan's tasks are submitted as the consumer takes the plan
@@ -183,7 +185,22 @@ def _scan_stream(plans, min_disk_len: int, pool: Pool | None, jobs: int):
     yield from submitted
 
 
-def _gather(s: Skeleton, scans) -> tuple[list[tuple[int, ...]], float]:
+class Packed:
+    """Configurations packed one byte per edge, as scan tasks return them:
+    a sized collection whose items are n_edges-byte slices."""
+
+    def __init__(self, data: bytes, n_edges: int):
+        self.data, self.n_edges = data, n_edges
+
+    def __len__(self) -> int:
+        return len(self.data) // self.n_edges
+
+    def __iter__(self):
+        d, n = self.data, self.n_edges
+        return map(d.__getitem__, map(slice, range(0, len(d), n), range(n, len(d) + n, n)))
+
+
+def _gather(s: Skeleton, scans) -> tuple[Packed, float]:
     """The concatenated survivors and summed seconds of skeleton s's scan
     tasks.  Each range comes back in mixed-radix order and ranges are
     disjoint, so ascending prefixes give ascending survivors."""
@@ -191,7 +208,7 @@ def _gather(s: Skeleton, scans) -> tuple[list[tuple[int, ...]], float]:
     for found, took in scans:
         packed.append(found)
         seconds += took
-    return list(zip(*[iter(b"".join(packed))] * s.n_edges)), seconds
+    return Packed(b"".join(packed), s.n_edges), seconds
 
 
 def _check_options(jobs: int, min_disk_len: int) -> None:
@@ -240,25 +257,26 @@ def reduce_survivors(
     """Quotient survivor configurations by the germ symmetries and derive
     flags and certificates for one representative per class.
 
-    The quotient is the germ-symmetry orbit of each configuration: every
-    orbit is one class, represented by the words its minimal configuration
-    traces.  The published, coarser sign-flip quotient (canon.canonical_key)
-    is not applied here; see find_sign_flip_merges.
+    survivors is a sized collection of configurations, tuples or Packed,
+    which the scan made closed under the symmetries.  Every orbit is one
+    class, represented by the words its minimal configuration traces;
+    canon.orbit_minima finds the minima without holding the survivors in
+    a set.  Orbit-stabilizer accounting checks the quotient: the classes'
+    orbits must hold exactly as many configurations as survivors.  The
+    published, coarser sign-flip quotient (canon.canonical_key) is not
+    applied here; see find_sign_flip_merges.
     """
-    remaining = set(survivors)  # not yet in a reduced orbit
+    minima = canon.orbit_minima(s, survivors)
+    members = sum(len(canon.config_orbit(s, cfg)) for cfg in minima)
+    if members != len(survivors):
+        raise AssertionError(
+            f"orbit escapes the survivor set: the orbits of {len(minima)} minima hold "
+            f"{members} configurations, the survivors {len(survivors)}; "
+            f"shard scan incomplete?"
+        )
     records = []
-    for cfg in survivors:
-        if cfg not in remaining:
-            continue
-        # orbits are disjoint, so this orbit meets no reduced one
-        orbit = canon.config_orbit(s, cfg)
-        if not orbit <= remaining:
-            missing = sorted(orbit - remaining)[:3]
-            raise AssertionError(
-                f"orbit escapes the survivor set at {missing}; shard scan incomplete?"
-            )
-        remaining -= orbit
-        words = canon.normalize_words(trace_gluing(s, min(orbit)))
+    for cfg in minima:
+        words = canon.normalize_words(trace_gluing(s, cfg))
         flags, spine, pi1 = _derived_claims(Surface(s, words), coset_cap)
         records.append(
             SurfaceRecord(
@@ -545,10 +563,11 @@ class _Manifest:
         os.replace(tmp, self.path)
 
 
-def _read_sweep(s: Skeleton, shares) -> tuple[set, float]:
+def _read_sweep(s: Skeleton, shares) -> tuple[Packed, float]:
     """(survivors, summed scan seconds) of the shard files of one complete
     sweep of skeleton s, as _Manifest.complete_sweeps lists them."""
-    survivors = {cfg for path, _ in shares for cfg in _read_shard(path, s.n_edges)}
+    configs = (cfg for path, _ in shares for cfg in _read_shard(path, s.n_edges))
+    survivors = Packed(bytes(itertools.chain.from_iterable(configs)), s.n_edges)
     return survivors, sum(seconds for _, seconds in shares)
 
 
@@ -562,7 +581,10 @@ def _shard_header(path: str) -> dict:
 
 
 def _read_shard(path: str, n_edges: int):
-    """The configurations of a shard file; a bad line fails with its number."""
+    """The configurations of a shard file, which store_share writes in
+    ascending order; a bad line, or one not above the line before (a
+    duplicated or reordered line), fails with its number."""
+    previous = ()
     with open(path, encoding="utf-8") as fh:
         next(fh)  # the header
         for n, line in enumerate(fh, start=2):
@@ -572,6 +594,10 @@ def _read_shard(path: str, n_edges: int):
                 raise ValueError(f"{path}:{n}: {exc}") from None
             if len(cfg) != n_edges or min(cfg) < 0 or max(cfg) > 5:
                 raise ValueError(f"{path}:{n}: not a configuration of {n_edges} edges")
+            if cfg <= previous:
+                raise ValueError(f"{path}:{n}: configuration not above the line before; "
+                                 f"a shard file is strictly ascending")
+            previous = cfg
             yield cfg
 
 
@@ -687,13 +713,13 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
     `representative` mismatch; published listing rows are exempt.  A record
     that is not acyclic gets an `acyclic` mismatch and its flags and spine
     are still checked, but its stored pi1 is not: no coset enumeration runs
-    for it.  A record whose words fit its skeleton in no orientation gets
-    one `validity` mismatch naming the violation of the words as stored,
-    and a record of a skeleton that does not exist a `skeleton` mismatch.
-    Words that fit no skeleton of the record's complexity, for want of 6t
-    letters over the 2t edges (surfaces.letter_violation), get their
-    `validity` mismatch before any skeleton is enumerated.
-    Mismatches are collected, not raised; parse errors abort with line info.
+    for it.  A record that does not ingest gets one mismatch, named by the
+    check formats.ingest_row found failing: `validity` for words that
+    cannot be of the record's complexity (found before any skeleton is
+    enumerated) or fit its skeleton in no orientation, naming the violation
+    of the words as stored, and `skeleton` for a skeleton that does not
+    exist.  Mismatches are collected, not raised; parse errors abort with
+    line info.
     """
     records = read_records(path)
     native = file_format(path) == "native"
@@ -703,16 +729,10 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
     for n, rec in enumerate(records, start=1):
         distinct.append(None)
         problems = []
-        if letter_violation(rec.complexity, rec.disks) is None:  # else enumerate no skeleton
-            try:
-                skeleton_by_index(rec.complexity, rec.skeleton_index)
-            except ValueError as exc:
-                report["mismatches"].append({"record": n, "field": "skeleton", "got": str(exc)})
-                continue
         try:
             f = ingest_row(rec)
-        except ValueError as exc:  # words not of the complexity or fitting in no orientation
-            problems.append(("validity", str(exc)))
+        except IngestError as exc:
+            problems.append((exc.field, str(exc)))
         else:
             key = canon.geometric_key(f)
             first = first_of_class.setdefault((rec.complexity, rec.skeleton_index, key), n)

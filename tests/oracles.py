@@ -1,8 +1,10 @@
-"""Independent oracles for algebra.det_bareiss: a cofactor-expansion
-determinant and the Smith normal form of an integer matrix.
+"""Independent oracles: a cofactor-expansion determinant and the Smith
+normal form of an integer matrix, which share no code with the library, and
+the set-based orbit quotient the classifier's reduce used before its
+canonicity test.
 
-Neither shares code with the library; tests compare det_bareiss and
-algebra.is_acyclic against them.
+Tests compare algebra.det_bareiss and algebra.is_acyclic against the first
+two, and pipeline.reduce_survivors against the third.
 """
 
 
@@ -78,3 +80,30 @@ def smith_normal_form(matrix) -> list[int]:
                 factors[i], factors[i + 1] = g, a * b // g
                 changed = True
     return factors
+
+
+def reduce_by_orbit_sets(s, survivors, coset_cap=None):
+    """The records of survivors quotiented with a set of the survivors not
+    yet in a reduced orbit: each survivor still in it removes its orbit and
+    contributes one class, represented by the orbit's minimal
+    configuration.  Flags and certificates as pipeline derives them."""
+    from fakesurfaces import algebra, canon, pipeline
+    from fakesurfaces.formats import SurfaceRecord
+    from fakesurfaces.surfaces import Surface, trace_gluing
+
+    cap = algebra.DEFAULT_COSET_CAP if coset_cap is None else coset_cap
+    remaining = set(survivors)
+    records = []
+    for cfg in survivors:
+        if cfg not in remaining:
+            continue
+        orbit = canon.config_orbit(s, cfg)
+        if not orbit <= remaining:
+            raise AssertionError(f"orbit escapes the survivor set at {sorted(orbit - remaining)[:3]}")
+        remaining -= orbit
+        words = canon.normalize_words(trace_gluing(s, min(orbit)))
+        flags, spine, pi1 = pipeline._derived_claims(Surface(s, words), cap)
+        records.append(SurfaceRecord(s.complexity, s.index, words, flags,
+                                     acyclic=True, spine=spine, pi1=pi1))
+    records.sort(key=lambda r: canon.encode_words(r.disks))
+    return records

@@ -1,5 +1,6 @@
 """Word normalization, move invariance, canonical forms, geometric classes."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from fakesurfaces.skeleta import enumerate_skeleta, skeleton_by_index
 from fakesurfaces.surfaces import Surface, enumerate_surfaces, reconstruct_config, trace_gluing
 from fakesurfaces.algebra import is_acyclic
 from fakesurfaces.canon import (
+    _config_transforms,
     canonical_form,
     canonical_key,
     config_orbit,
@@ -16,6 +18,7 @@ from fakesurfaces.canon import (
     germ_symmetries,
     normalize_word,
     normalize_words,
+    orbit_minima,
 )
 
 ABALONE = ((1, 2, 2, 1, -2), (1,))
@@ -146,6 +149,19 @@ def test_config_transforms_commute_with_tracing():
                     assert normalize_words(trace_gluing(s, image)) == normalize_words(moved)
                     images.add(image)
                 assert config_orbit(s, cfg) == images
+
+
+def test_orbit_minima_keep_one_configuration_per_orbit():
+    # every gluing of each complexity-2 skeleton, survivor or not
+    for s in enumerate_skeleta(2):
+        _config_transforms.cache_clear()
+        assert orbit_minima(s, []) == []
+        assert _config_transforms.cache_info().currsize == 0  # built only when needed
+        configs = list(itertools.product(range(6), repeat=s.n_edges))
+        minima = orbit_minima(s, configs)
+        assert minima == sorted({min(config_orbit(s, cfg)) for cfg in configs})
+        packed = [bytes(cfg) for cfg in configs]
+        assert orbit_minima(s, packed) == minima
 
 
 def test_orbit_is_group_closed():
