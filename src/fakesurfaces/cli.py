@@ -40,45 +40,50 @@ def _shard_spec(value: str) -> tuple[int, int]:
     return k, m
 
 
-def _jobs(value: str) -> int:
-    if not value.isdecimal() or int(value) < 1:
-        raise argparse.ArgumentTypeError(f"jobs must be a whole number of at least 1, "
-                                         f"not {value!r}")
-    return int(value)
+def _at_least_one(name: str):
+    """The argparse type of an option that must be a whole number of at
+    least 1, refused with a usage message that names it."""
+    def parse(value: str) -> int:
+        if not value.isdecimal() or int(value) < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be a whole number of at least 1, "
+                                             f"not {value!r}")
+        return int(value)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fakesurfaces", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    complexity, cap = _at_least_one("complexity"), _at_least_one("coset cap")
 
     p = sub.add_parser("skeleta", help="enumerate 1-skeleta")
-    p.add_argument("--complexity", type=int, required=True)
+    p.add_argument("--complexity", type=complexity, required=True)
     p.add_argument("--out", help="write records to FILE instead of stdout")
 
     p = sub.add_parser("classify", help="classify acyclic cellular fake surfaces")
-    p.add_argument("--complexity", type=int, required=True)
+    p.add_argument("--complexity", type=complexity, required=True)
     p.add_argument("--min-disk-len", type=int, default=1, choices=(1, 2, 3))
-    p.add_argument("--jobs", type=_jobs, default=1,
+    p.add_argument("--jobs", type=_at_least_one("jobs"), default=1,
                    help="worker processes; each skeleton's scan goes whole to one "
                         "of them while there are at least as many skeleta to scan")
     p.add_argument("--shard", type=_shard_spec, default=None, metavar="k/m",
                    help="scan only share k of an m-share sweep and persist its "
                         "survivors; a later classify run merges complete sweeps")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--coset-cap", type=int, default=algebra.DEFAULT_COSET_CAP)
+    p.add_argument("--coset-cap", type=cap, default=algebra.DEFAULT_COSET_CAP)
 
     p = sub.add_parser("verify", help="verify a surface file")
     p.add_argument("file")
-    p.add_argument("--coset-cap", type=int, default=algebra.DEFAULT_COSET_CAP)
+    p.add_argument("--coset-cap", type=cap, default=algebra.DEFAULT_COSET_CAP)
 
     p = sub.add_parser("tables", help="print census tables")
-    p.add_argument("--max-complexity", type=int, required=True)
+    p.add_argument("--max-complexity", type=_at_least_one("max complexity"), required=True)
     p.add_argument("--out", default=None,
                    help="directory containing classification runs")
 
     p = sub.add_parser("pi1", help="fundamental group triviality verdicts")
     p.add_argument("file")
-    p.add_argument("--coset-cap", type=int, default=algebra.DEFAULT_COSET_CAP)
+    p.add_argument("--coset-cap", type=cap, default=algebra.DEFAULT_COSET_CAP)
 
     p = sub.add_parser("canon", help="canonical forms of surfaces in a file")
     p.add_argument("file")

@@ -1,15 +1,15 @@
 """End-to-end classification: enumerate, filter, quotient, flag, certify.
 
 Every skeleton's gluing space is scanned in fixed prefix ranges (share 1 of
-1 of the plan below), acyclic survivors are collected as configuration
-tuples, and the reducer quotients them by the germ symmetries.  The scan is
+1 of the plan below), acyclic survivors are collected packed, one byte per
+edge, and the reducer quotients them by the germ symmetries.  The scan is
 one explicit-stack DFS kernel (surfaces.enumerate_surfaces): it builds each
 curve's boundary row as its path closes, skips a child near the end when no
 completion can close the curves still needed, stops before the last two
 edges and looks both edges' closures up per pairing of their open path
-ends; both tables are cached per skeleton, so a leaf costs one determinant
-(algebra.det_bareiss, a compiled straight-line formula at these sizes) and
-no word is traced.
+ends; both tables are built by one edge-gluing step and cached per
+skeleton, so a leaf costs one determinant (algebra.det_bareiss, a compiled
+straight-line formula at these sizes) and no word is traced.
 
 A run's scan is one task stream: every scanned skeleton's prefix ranges,
 one task each, in skeleton order, run in this process at jobs=1 and in a
@@ -211,11 +211,13 @@ def _gather(s: Skeleton, scans) -> tuple[Packed, float]:
     return Packed(b"".join(packed), s.n_edges), seconds
 
 
-def _check_options(jobs: int, min_disk_len: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, not {jobs}")
-    if min_disk_len < 1:
-        raise ValueError(f"min_disk_len must be at least 1, not {min_disk_len}")
+def _check_options(t: int = 1, jobs: int = 1, min_disk_len: int = 1,
+                   coset_cap: int = algebra.DEFAULT_COSET_CAP) -> None:
+    """Refuse an option below 1 before anything is scanned, read or written."""
+    for name, value in (("complexity", t), ("jobs", jobs), ("min_disk_len", min_disk_len),
+                        ("coset_cap", coset_cap)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, not {value}")
 
 
 def classify_skeleton(
@@ -240,7 +242,7 @@ def scan_share(t: int, k: int, m: int, out_dir: str, min_disk_len: int = 1,
     scan tasks or more.  The shares of all skeleta form one task stream,
     run as in classify.  A shard header's seconds are the summed times of
     the skeleton's scan tasks."""
-    _check_options(jobs, min_disk_len)
+    _check_options(t, jobs, min_disk_len)
     manifest = _Manifest(out_dir, t, min_disk_len)
     plans = [(s, share_prefixes(s, k, m)) for s in enumerate_skeleta(t)]
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
@@ -333,9 +335,7 @@ def classify(
     scan later ones.  Each skeleton's classes get their published sign-flip
     key right after they are reduced or loaded.
     """
-    if t < 1:
-        raise ValueError("complexity must be at least 1")
-    _check_options(jobs, min_disk_len)
+    _check_options(t, jobs, min_disk_len, coset_cap)
     skeleta = enumerate_skeleta(t)
     if skeleton_indices is not None:
         wanted = set(skeleton_indices)
@@ -721,6 +721,7 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
     exist.  Mismatches are collected, not raised; parse errors abort with
     line info.
     """
+    _check_options(coset_cap=coset_cap)
     records = read_records(path)
     native = file_format(path) == "native"
     report = {"records": len(records), "mismatches": [], "verified": 0}

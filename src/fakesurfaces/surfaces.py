@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .skeleta import Skeleton, boundary_columns
 
@@ -46,6 +47,10 @@ S3 = (
     (2, 1, 0),
 )
 S3_INDEX = {p: i for i, p in enumerate(S3)}
+# per permutation its sheets, (tail node, head node) from an edge's first
+# node; every (p, q) pair of two edges' permutations, in mixed-radix order
+_SHEETS = tuple(tuple((i, 3 + x) for i, x in enumerate(p)) for p in S3)
+_PAIRS = tuple((p, q) for p in range(6) for q in range(6))
 
 Word = tuple[int, ...]
 GluingConfig = tuple[int, ...]
@@ -307,11 +312,11 @@ def _kernel_tables(s: Skeleton):
     edge more than three times, so digits stay within [-3, 3] and packed
     integers add like their vectors).  Returns (fwd, bwd, shift, tails,
     counts, rows): fwd[e] and bwd[e] pack one sheet of edge e crossed tail
-    to head and head to tail; tails is the _TailTable of the last two edges,
-    counts the _CountLookahead of the edges above them and rows the
-    _RowDecoder of the curves' rows.  Cached for one skeleton: the scan
-    visits skeleta one at a time, so every prefix shard a process scans
-    shares these tables and a worker holds one skeleton's.
+    to head and head to tail; tails is the _TailTable of the last two edges
+    and counts the _CountLookahead of the edges above them (both built by
+    _glue), rows the _RowDecoder of the curves' rows.  Cached for one
+    skeleton: the scan visits skeleta one at a time, so every prefix shard
+    a process scans shares these tables and a worker holds one skeleton's.
     """
     columns = boundary_columns(s)
     shift = (3 * s.n_edges).bit_length()
@@ -324,52 +329,60 @@ def _kernel_tables(s: Skeleton):
     return fwd, bwd, shift, tails, counts, _RowDecoder(s.complexity + 1)
 
 
-# every (p, q) pair of permutations of the last two edges, in mixed-radix order
-_TAIL_PAIRS = tuple((p, q) for p in range(6) for q in range(6))
+def _glue(end: list, base: int, sheets, paths=None, ahead=0, back=0) -> list:
+    """Glue one edge's sheets (an entry of _SHEETS) onto the open paths in
+    place, as the DFS of enumerate_surfaces does; return the curves closed.
+    end[k] is the partner (absolute) of node base + k, the edge's six first.
+    With paths (packed integers per path end, ahead/back a sheet's tail to
+    head/head to tail) a curve is its packed integer, else None."""
+    closed = []
+    for a, b in sheets:
+        ea = end[a] - base
+        if ea == b:
+            closed.append(paths[b] + ahead if paths else None)
+        else:
+            eb = end[b] - base
+            if paths:
+                paths[ea] += ahead + paths[b]
+                paths[eb] += back + paths[a]
+            end[ea], end[eb] = eb + base, ea + base
+    return closed
 
 
 class _TailTable(dict):
     """The curves the last two edges close, keyed by how the open paths pair
-    those edges' twelve nodes.
+    those edges' twelve nodes (their partners, absolute, edge n-2 first).
 
-    A key is the partner of each of the twelve nodes (absolute node numbers,
-    edge n-2 first).  Its value lists, by number of curves closed, the
-    permutation pairs (p, q) in mixed-radix order, each with its curves in
-    closing order; a curve is (nodes, constant), and its packed integer is
-    the constant plus the packed path ends of those nodes.  Only a few of
-    the 10,395 pairings occur on a skeleton, so entries are built on first
-    use by replaying both edges on symbolic paths: the path ending at node k
-    is ((k,), 0), and a joined path is (ends read, packed sheets added).
+    A value lists, by number of curves closed, the permutation pairs (p, q)
+    in mixed-radix order, each with its curves in closing order; a curve is
+    (nodes, constant), and its packed integer is the constant plus the
+    packed path ends of those nodes.  Few of the 10,395 pairings occur on a
+    skeleton, so an entry is built on first use: edge n-2 is glued (_glue)
+    once per p and its state reused for the six q, on symbolic paths whose
+    integers hold a bit per tail node summed (node base + k starts as
+    1 << k) and the sheets' constant above those twelve bits.
     """
 
     def __init__(self, base: int, fwd: tuple[int, int], bwd: tuple[int, int]):
         super().__init__()
         self.base = base
-        self.sheets = tuple(zip(fwd, bwd))
-        self.interned: dict = {}  # equal curves share one tuple across entries
+        self.packed = tuple((f << 12, b << 12) for f, b in zip(fwd, bwd))
+        # symbolic curve -> (nodes, constant); equal curves share one tuple
+        self.curve = lru_cache(maxsize=None)(
+            lambda v: (tuple(base + k for k in range(12) if v >> k & 1), v >> 12))
 
     def __missing__(self, key: tuple[int, ...]):
         base = self.base
+        (ahead, back), (ahead2, back2) = self.packed
+        curve = self.curve
         by_count: tuple[list, ...] = tuple([] for _ in range(7))
-        for pair in _TAIL_PAIRS:
-            end = [k - base for k in key]
-            sym = [((base + k,), 0) for k in range(12)]
-            curves = []
-            for j, (ahead, back) in enumerate(self.sheets):
-                p = S3[pair[j]]
-                for i in range(3):
-                    a, b = 6 * j + i, 6 * j + 3 + p[i]
-                    if end[a] == b:
-                        ks, c = sym[b]
-                        curve = (ks, c + ahead)
-                        curves.append(self.interned.setdefault(curve, curve))
-                    else:
-                        ea, eb = end[a], end[b]
-                        sa, sb, sea, seb = sym[a], sym[b], sym[ea], sym[eb]
-                        sym[ea] = (sea[0] + sb[0], sea[1] + ahead + sb[1])
-                        sym[eb] = (seb[0] + sa[0], seb[1] + back + sa[1])
-                        end[ea], end[eb] = eb, ea
-            by_count[len(curves)].append((pair, tuple(curves)))
+        for pi, p in enumerate(_SHEETS):
+            end, sym = list(key), [1 << k for k in range(12)]
+            first = _glue(end, base, p, sym, ahead, back)
+            end, sym = end[6:], sym[6:]
+            for q, pair in zip(_SHEETS, _PAIRS[6 * pi :]):
+                curves = first + _glue(end[:], base + 6, q, sym[:], ahead2, back2)
+                by_count[len(curves)].append((pair, tuple(map(curve, curves))))
         self[key] = by_count
         return by_count
 
@@ -377,23 +390,6 @@ class _TailTable(dict):
 # the number of edges just above the two-edge tail at which the DFS checks
 # the _CountLookahead; measured at t=4 and t=5, two beat one and four
 LOOKAHEAD_EDGES = 2
-
-
-def _glue_edge(key: tuple[int, ...], n_nodes: int, p: tuple[int, int, int]):
-    """(curves closed, key of the edges after) when the first edge of `key`
-    is glued by permutation p; key is the partner of every node of the
-    remaining edges, the last len(key) of the n_nodes."""
-    base = n_nodes - len(key)
-    end = [k - base for k in key]
-    closes = 0
-    for i in range(3):
-        a, b = i, 3 + p[i]
-        if end[a] == b:
-            closes += 1
-        else:
-            ea, eb = end[a], end[b]
-            end[ea], end[eb] = eb, ea
-    return closes, tuple(k + base for k in end[6:])
 
 
 class _CountLookahead(dict):
@@ -404,10 +400,11 @@ class _CountLookahead(dict):
     A value is indexed by the number c of curves closed before the edge; its
     entry is a bitmask over the six permutations p, with bit p set when some
     permutations of the later edges close target - c curves together with
-    p's own.  It is built from pairings alone: reach(key), the bitmask of
-    curve counts the remaining edges can close, is the union over p of
-    reach(key after p) shifted by the curves p closes, and reach(()) = {0}.
-    The condition is necessary, so the DFS can skip a child that fails it.
+    p's own.  It is built from pairings alone (_glue without paths):
+    reach(key), the bitmask of curve counts the remaining edges can close,
+    is the union over p of reach(key after p) shifted by the curves p
+    closes, and reach(()) = {0}.  The condition is necessary, so the DFS can
+    skip a child that fails it.
     """
 
     def __init__(self, n_nodes: int, target: int):
@@ -416,27 +413,31 @@ class _CountLookahead(dict):
         self.target = target
         self.reach: dict[tuple[int, ...], int] = {(): 1}
 
-    def _reach(self, key: tuple[int, ...]) -> int:
-        r = self.reach.get(key)
-        if r is None:
-            r = 0
-            for p in S3:
-                closes, rest = _glue_edge(key, self.n_nodes, p)
-                r |= self._reach(rest) << closes
-            self.reach[key] = r
-        return r
+    def _totals(self, key: tuple[int, ...]) -> list[int]:
+        # per permutation p of the key's first edge, reach(key after p) << closes
+        base = self.n_nodes - len(key)
+        totals = []
+        for p in _SHEETS:
+            end = list(key)
+            closes = len(_glue(end, base, p))
+            rest = tuple(end[6:])
+            r = self.reach.get(rest)
+            if r is None:
+                r = self.reach[rest] = reduce(or_, self._totals(rest))
+            totals.append(r << closes)
+        return totals
 
     def __missing__(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        # per permutation, the bitmask of curve counts it and the later edges
-        # can close; count c before the edge needs bit target - c
-        totals = []
-        for p in S3:
-            closes, rest = _glue_edge(key, self.n_nodes, p)
-            totals.append(self._reach(rest) << closes)
-        out = self[key] = tuple(
-            sum(1 << pi for pi, total in enumerate(totals) if total >> (self.target - c) & 1)
-            for c in range(self.target + 1)
-        )
+        # count c before the edge needs bit target - c
+        target = self.target
+        allowed = [0] * (target + 1)
+        for pi, total in enumerate(self._totals(key)):
+            total &= (2 << target) - 1
+            while total:
+                k = total.bit_length() - 1
+                allowed[target - k] |= 1 << pi
+                total ^= 1 << k
+        out = self[key] = tuple(allowed)
         return out
 
 
@@ -469,20 +470,20 @@ def enumerate_surfaces(s: Skeleton, min_disk_len: int = 1, prefix: GluingConfig 
     One explicit-stack DFS walks the edges in label order.  Each depth keeps
     the open boundary paths: the other end of every path end, and a packed
     integer per end holding the path's length and its signed traversal
-    counts over the boundary columns (see _kernel_tables).  Joining two
-    paths adds their integers and closing a curve yields its boundary row,
-    so rows are built as the paths close and no curve is traced.  A branch
-    dies as soon as it closes a short curve or t+1 curves.  On the LOOKAHEAD_EDGES
-    edges just above the tail a child is skipped before it is glued when no
-    permutations of the edges after it can close the curves still needed,
-    per the skeleton's _CountLookahead; the cut is on counts alone, so the
-    leaves are the same.  The DFS stops before the last two edges: there the
-    open paths pair those edges' twelve nodes, and the curves each of the 36
+    counts over the boundary columns (see _kernel_tables).  Gluing an edge
+    (the step _glue makes for the tables, inlined here) joins paths by
+    adding their integers, and closing a curve yields its boundary row, so
+    no curve is traced.  A branch dies as soon as it closes a short curve
+    or t+1 curves.  On the LOOKAHEAD_EDGES edges just above the tail a child
+    is skipped before it is glued when no permutations of the edges after
+    it can close the curves still needed, per the skeleton's
+    _CountLookahead; the cut is on counts alone, so the leaves are the
+    same.  The DFS stops before the last two edges: there the open paths
+    pair those edges' twelve nodes, and the curves each of the 36
     permutation pairs closes are looked up per pairing in the skeleton's
-    _TailTable instead of walked.  With `prefix`
-    the permutations of the first len(prefix) edges are pinned, which shards
-    the search space into disjoint, deterministic ranges; a prefix may pin
-    one or both tail edges.
+    _TailTable instead of walked.  With `prefix` the permutations of the
+    first len(prefix) edges are pinned, which shards the search space into
+    disjoint, deterministic ranges; a prefix may pin one or both tail edges.
 
     Duplicates modulo the relabeling moves are not removed here.
     """
@@ -498,9 +499,8 @@ def enumerate_surfaces(s: Skeleton, min_disk_len: int = 1, prefix: GluingConfig 
 
     config = list(prefix) + [0] * (n_edges - len(prefix))
     choices = [(c, c) for c in prefix] + [(0, 5)] * (n_edges - len(prefix))
-    # the tail pairs a prefix allows when it pins one or both tail edges
+    # the permutations a prefix pins of one or both tail edges
     pins = tuple(prefix[tail:])
-    pinned = {pair for pair in _TAIL_PAIRS if pair[: len(pins)] == pins} if pins else None
     # per depth: other end of each path end, packed paths, closed curves
     ends: list = [None] * n_edges
     paths: list = [None] * n_edges
@@ -520,8 +520,8 @@ def enumerate_surfaces(s: Skeleton, min_disk_len: int = 1, prefix: GluingConfig 
             end, pk, done = ends[e], paths[e], closed[e]
             need = target - len(done)
             options = tails[tuple(end[6 * tail :])][need] if need <= 6 else ()
-            if pinned is not None:
-                options = [o for o in options if o[0] in pinned]
+            if pins:
+                options = [o for o in options if o[0][: len(pins)] == pins]
             head = tuple(config[:tail])
             for pair, curves in options:
                 new = []

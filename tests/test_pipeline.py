@@ -762,6 +762,40 @@ def test_min_disk_len_below_one_is_refused(tmp_path):
     assert not out.exists()
 
 
+def test_complexity_or_coset_cap_below_one_is_refused_before_any_work(tmp_path):
+    out = tmp_path / "runs"
+    for call, message in (
+        (lambda: classify(2, coset_cap=0, out_dir=str(out)), "coset_cap must be at least 1, not 0"),
+        (lambda: classify(0, out_dir=str(out)), "complexity must be at least 1, not 0"),
+        (lambda: pipeline.scan_share(-1, 1, 2, str(out)), "complexity must be at least 1, not -1"),
+        # the file does not exist: the cap is refused before it is read
+        (lambda: verify_file(str(tmp_path / "absent.txt"), coset_cap=0),
+         "coset_cap must be at least 1, not 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["classify", "--complexity", "2", "--coset-cap", "0", "--out", "OUT"], "coset cap ... '0'"),
+    (["classify", "--complexity", "0", "--out", "OUT"], "complexity ... '0'"),
+    (["skeleta", "--complexity", "0", "--out", "OUT/skeleta.jsonl"], "complexity ... '0'"),
+    (["tables", "--max-complexity", "0", "--out", "OUT"], "max complexity ... '0'"),
+    (["verify", "ROWS", "--coset-cap", "0"], "coset cap ... '0'"),
+    (["pi1", "ROWS", "--coset-cap", "-3"], "coset cap ... '-3'"),
+])
+def test_cli_refuses_a_complexity_or_coset_cap_below_one(tmp_path, capsys, argv, refused):
+    out, rows = tmp_path / "runs", tmp_path / "rows.txt"
+    rows.write_text("\n".join(format_listing_line(r) for r in load_reference_listing(1)) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.replace("OUT", str(out)).replace("ROWS", str(rows)) for a in argv])
+    assert exc.value.code == 2
+    name, value = refused.split(" ... ")
+    assert f"{name} must be a whole number of at least 1, not {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # six letters, each edge three times, that fit complexity-1 skeleton 1 in no
 # orientation, then a good row
 BAD_THEN_GOOD = "1 1 | 1 1 : Y Y | 2 2 2 1 : N Y\n1 1 | 1 2 2 1 -2 : N Y | 1 : Y Y\n"

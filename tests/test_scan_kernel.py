@@ -1,7 +1,8 @@
 """The scan kernel against independent oracles: traced words, a brute-force
 filter of every gluing, its own prefix shards, including prefixes that pin
-the edges whose closures the kernel looks up, and brute-force curve counts
-for the count lookahead."""
+the edges whose closures the kernel looks up, a brute-force replay of those
+edges for the tail table, and brute-force curve counts for the count
+lookahead."""
 
 import hashlib
 import itertools
@@ -147,6 +148,63 @@ def test_count_lookahead_equals_brute_force_curve_counts(t, index):
             for closed in range(t + 2)
         )
         assert allowed == want, (key, allowed, want)
+
+
+def _tail_curves(key, base, fwd, bwd, pair):
+    """The curves permutations pair = (p, q) of the last two edges close,
+    found by walking every cycle of the open paths' pairing (key, partners
+    of the twelve nodes from base) and the six sheets.  A curve is walked
+    from the tail end of the last of its sheets in gluing order, so it is
+    (nodes, constant) as the kernel closes it: the nodes whose paths it
+    enters there, sorted, and the sheets' packed integers, fwd tail to head
+    and bwd head to tail; curves come in the order their last sheets are
+    glued."""
+    partner = {base + k: x for k, x in enumerate(key)}
+    sheets = [(base + 6 * j + i, base + 6 * j + 3 + S3[pi][i])
+              for j, pi in enumerate(pair) for i in range(3)]
+    across = {}
+    for a, b in sheets:
+        across[a], across[b] = b, a
+    curves, seen = [], set()
+    # a curve is first met at its last sheet when the sheets are taken last first
+    for a, _ in reversed(sheets):
+        if a in seen:
+            continue
+        nodes, constant, node = [], 0, a
+        while True:
+            j = (node - base) // 6
+            constant += (fwd if (node - base) % 6 < 3 else bwd)[j]
+            seen.update((node, across[node]))
+            node = across[node]
+            nodes.append(node)
+            node = partner[node]
+            if node == a:
+                break
+        curves.append((tuple(sorted(nodes)), constant))
+    return curves[::-1]
+
+
+@pytest.mark.parametrize("t, index, min_disk_len",
+                         [(t, s.index, 1) for t in (1, 2, 3) for s in enumerate_skeleta(t)]
+                         + [(4, 10, 1), (4, 10, 3)])
+def test_tail_table_equals_a_brute_force_replay_of_the_last_two_edges(t, index, min_disk_len):
+    s = skeleton_by_index(t, index)
+    _kernel_tables.cache_clear()
+    for _ in enumerate_surfaces(s, min_disk_len=min_disk_len):
+        pass
+    fwd, bwd, _, tails = _kernel_tables(s)[:4]
+    assert tails  # every pairing the scan met at the tail
+    base = 6 * (s.n_edges - 2)
+    for key, by_count in tails.items():
+        pairs = []
+        for count, entries in enumerate(by_count):
+            for pair, curves in entries:
+                want = _tail_curves(key, base, fwd[-2:], bwd[-2:], pair)
+                assert len(want) == count, (key, pair)
+                assert [(tuple(sorted(ks)), c) for ks, c in curves] == want, (key, pair)
+                pairs.append(pair)
+            assert [pair for pair, _ in entries] == sorted(pair for pair, _ in entries)
+        assert sorted(pairs) == list(itertools.product(range(6), repeat=2))
 
 
 class _EveryCount(dict):
