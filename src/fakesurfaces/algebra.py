@@ -2,11 +2,14 @@
 
 Collapsing a spanning tree of the 1-skeleton turns a complexity-t surface
 into a 2-complex with one vertex, t+1 edges and t+1 disks, hence a balanced
-presentation of the fundamental group.  The surface is acyclic exactly when
-the (t+1) x (t+1) boundary matrix is unimodular; contractibility is then
-equivalent to triviality of the presented group, which we certify by coset
-enumeration over the trivial subgroup, after eliminating each generator
-that a relator of length 1 kills (tietze_simplify).
+presentation of the fundamental group (presentation_of), its generators
+numbered as the boundary columns the scan kernel's rows use: the non-tree
+edges in label order.  The boundary matrix is its exponent sums.  The
+surface is acyclic exactly when that (t+1) x (t+1) matrix is unimodular;
+contractibility is then equivalent to triviality of the presented group,
+which we certify by coset enumeration over the trivial subgroup, after
+eliminating each generator that a relator of length 1 kills
+(tietze_simplify).
 
 Triviality is only ever proven, never refuted: a coset enumeration that
 exceeds its cap returns an inconclusive verdict.  All matrix arithmetic is
@@ -23,43 +26,24 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from .skeleta import boundary_columns, spanning_tree
+from .skeleta import boundary_columns
 from .surfaces import Surface
 
 Word = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# tree collapse and boundary matrix
+# boundary matrix
 
 
-def collapse_words(words, tree) -> tuple[Word, ...]:
-    """Delete spanning-tree letters and renumber the survivors 1..t+1.
-
-    Renumbering removes each tree label in decreasing order, shifting the
-    magnitude of every larger label down by one, so the generator order of
-    the collapsed presentation follows the original edge order.
-    """
-    tree = sorted(tree, reverse=True)
-    out = []
-    for w in words:
-        r = [x for x in w if abs(x) not in set(tree)]
-        for t in tree:
-            r = [x - 1 if x > t else (x + 1 if x < -t else x) for x in r]
-        out.append(tuple(r))
-    return tuple(out)
-
-
-def boundary_matrix(f: Surface, tree=None) -> list[list[int]]:
-    """Abelianized boundary map after collapsing the tree: one row per disk,
-    one column per non-tree edge, entries are signed traversal sums."""
-    cols = boundary_columns(f.skeleton, tree)
-    col_index = {e: i for i, e in enumerate(cols)}
-    m = [[0] * len(cols) for _ in f.disks]
-    for r, w in enumerate(f.disks):
-        for x in w:
-            if abs(x) in col_index:
-                m[r][col_index[abs(x)]] += 1 if x > 0 else -1
+def boundary_matrix(f: Surface) -> list[list[int]]:
+    """Abelianized boundary map: the exponent sums of presentation_of(f),
+    one row per relator (disk), one column per generator (non-tree edge)."""
+    p = presentation_of(f)
+    m = [[0] * p.ngens for _ in p.relators]
+    for row, r in zip(m, p.relators):
+        for x in r:
+            row[abs(x) - 1] += 1 if x > 0 else -1
     return m
 
 
@@ -184,14 +168,16 @@ class Presentation:
         return f"x{i}"
 
 
-def presentation_of(f: Surface, tree=None) -> Presentation:
-    """Balanced presentation from collapsing a spanning tree: generators are
-    the surviving edges, relators the collapsed disk words."""
-    if tree is None:
-        tree = spanning_tree(f.skeleton)
-    relators = collapse_words(f.disks, tree)
-    ngens = f.skeleton.n_edges - len(tree)
-    return Presentation(ngens=ngens, relators=relators)
+def presentation_of(f: Surface) -> Presentation:
+    """Balanced presentation from collapsing the spanning tree: generator i
+    is the i-th boundary column (skeleta.boundary_columns), relator j disk
+    j's word without tree letters, empty if the disk has only tree edges."""
+    columns = boundary_columns(f.skeleton)
+    letter = {x: 0 for e in range(1, f.skeleton.n_edges + 1) for x in (e, -e)}
+    for i, e in enumerate(columns, start=1):
+        letter[e], letter[-e] = i, -i
+    relators = tuple(tuple(g for x in w if (g := letter[x])) for w in f.disks)
+    return Presentation(len(columns), relators)
 
 
 def free_reduce(word) -> Word:
@@ -215,33 +201,29 @@ def _inverse(word) -> Word:
     return tuple(-x for x in reversed(word))
 
 
-def _drop_generator(p: Presentation, g: int) -> Presentation:
-    """Remove generator g (known to be trivial) and renumber above it."""
-    relators = []
-    for r in p.relators:
-        r = tuple(x for x in r if abs(x) != g)
-        r = tuple(x - 1 if x > g else (x + 1 if x < -g else x) for x in r)
-        r = cyclic_reduce(r)
-        if r:
-            relators.append(r)
-    names = tuple(n for i, n in enumerate(p.names) if i != g - 1)
-    return Presentation(p.ngens - 1, tuple(relators), names)
-
-
 def tietze_simplify(p: Presentation) -> Presentation:
-    """Free and cyclic reduction of every relator, and elimination of the
-    generator of each length-1 relator, repeated until no relator has
-    length 1.
-
-    The output presents a group isomorphic to the input's.  Relators are
-    not shortened against each other: the coset enumeration that follows
-    reaches the same verdicts without it, and the subword search cost more
-    time than the cosets it saved.
+    """Cyclically reduce every relator; then, while some relator has length
+    1, kill the first one's generator: delete its letters and reduce again,
+    dropping empty relators.  The surviving generators, and their names, are
+    renumbered once at the end.  The output presents a group isomorphic to
+    the input's.  Relators are not shortened against each other: the coset
+    enumeration that follows reaches the same verdicts without it, and the
+    subword search cost more time than the cosets it saved.
     """
-    p = Presentation(p.ngens, tuple(r for r in map(cyclic_reduce, p.relators) if r), p.names)
-    while (unit := next((r for r in p.relators if len(r) == 1), None)) is not None:
-        p = _drop_generator(p, abs(unit[0]))
-    return p
+    relators = [r for r in map(cyclic_reduce, p.relators) if r]
+    killed = set()
+    while (unit := next((r for r in relators if len(r) == 1), None)) is not None:
+        g = abs(unit[0])
+        killed.add(g)
+        reduced = (cyclic_reduce([x for x in r if abs(x) != g]) for r in relators)
+        relators = [r for r in reduced if r]
+    survivors = [g for g in range(1, p.ngens + 1) if g not in killed]
+    number = {}
+    for i, g in enumerate(survivors, start=1):
+        number[g], number[-g] = i, -i
+    names = tuple(n for g, n in enumerate(p.names, start=1) if g not in killed)
+    return Presentation(len(survivors), tuple(tuple(number[x] for x in r) for r in relators),
+                        names)
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +243,6 @@ class Pi1Verdict:
     order: int | None
     cosets_used: int
 
-    @property
-    def proven_trivial(self) -> bool:
-        return self.status == "trivial"
-
-    @staticmethod
-    def trivial(cosets_used: int) -> "Pi1Verdict":
-        return Pi1Verdict("trivial", 1, cosets_used)
-
-    @staticmethod
-    def finite(order: int, cosets_used: int) -> "Pi1Verdict":
-        return Pi1Verdict("finite", order, cosets_used)
-
-    @staticmethod
-    def inconclusive(cosets_used: int) -> "Pi1Verdict":
-        return Pi1Verdict("inconclusive", None, cosets_used)
-
 
 DEFAULT_COSET_CAP = 200_000
 
@@ -291,7 +257,7 @@ def coset_enumerate(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> Pi1Verdict
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if p.ngens == 0:
-        return Pi1Verdict.trivial(1)
+        return Pi1Verdict("trivial", 1, 1)
 
     ncols = 2 * p.ngens
     # column for letter x: 2*(|x|-1) + (0 if x>0 else 1)
@@ -404,7 +370,7 @@ def coset_enumerate(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> Pi1Verdict
                 continue
             for r in relators:
                 if not scan_and_fill(a, r):
-                    return Pi1Verdict.inconclusive(created)
+                    return Pi1Verdict("inconclusive", None, created)
                 if find(a) != a:
                     break  # this coset died during processing
             else:
@@ -414,7 +380,7 @@ def coset_enumerate(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> Pi1Verdict
                     if find(a) != a:
                         break
                     if table[a][c] is None and not define(a, c):
-                        return Pi1Verdict.inconclusive(created)
+                        return Pi1Verdict("inconclusive", None, created)
                     c += 1
             a += 1
         if (created, len(merged)) == before:
@@ -422,8 +388,8 @@ def coset_enumerate(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> Pi1Verdict
 
     live = sum(1 for i in range(len(rep)) if find(i) == i)
     if live == 1:
-        return Pi1Verdict.trivial(created)
-    return Pi1Verdict.finite(live, created)
+        return Pi1Verdict("trivial", 1, created)
+    return Pi1Verdict("finite", live, created)
 
 
 def pi1_trivial(f: Surface, cap: int = DEFAULT_COSET_CAP) -> Pi1Verdict:

@@ -148,7 +148,10 @@ def cmd_verify(args) -> int:
     are listed after the mismatches and do not change the exit status: the
     classifier keeps them apart on purpose.
     """
-    report = pipeline.verify_file(args.file, coset_cap=args.coset_cap)
+    try:
+        report = pipeline.verify_file(args.file, coset_cap=args.coset_cap)
+    except (OSError, ValueError) as exc:
+        return _unreadable(args.file, exc)
     print(f"records: {report['records']}  verified: {report['verified']}  "
           f"mismatches: {len(report['mismatches'])}  "
           f"sign-flip merges: {len(report['sign_flip_merges'])}")
@@ -170,11 +173,18 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _ingested(path):
+def _unreadable(path, exc) -> int:
+    """Report a file that cannot be read or parsed as `<path>: <message>`
+    on stderr; the exit status 1."""
+    print(f"{path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+    return 1
+
+
+def _ingested(records):
     """(record number, record, Surface or None) per record of a surface
     file.  A record that does not ingest has no Surface and is reported as
     `record N: <field>: <message>`, as verify reports it."""
-    for n, rec in enumerate(read_records(path), start=1):
+    for n, rec in enumerate(records, start=1):
         try:
             f = ingest_row(rec)
         except IngestError as exc:
@@ -184,8 +194,12 @@ def _ingested(path):
 
 
 def cmd_pi1(args) -> int:
+    try:
+        records = read_records(args.file)
+    except (OSError, ValueError) as exc:
+        return _unreadable(args.file, exc)
     worst = 0
-    for n, _, f in _ingested(args.file):
+    for n, _, f in _ingested(records):
         if f is None:
             worst = 1
             continue
@@ -200,8 +214,12 @@ def cmd_pi1(args) -> int:
 
 
 def cmd_canon(args) -> int:
+    try:
+        records = read_records(args.file)
+    except (OSError, ValueError) as exc:
+        return _unreadable(args.file, exc)
     status = 0
-    for _, rec, f in _ingested(args.file):
+    for _, rec, f in _ingested(records):
         if f is None:
             status = 1
             continue
@@ -211,8 +229,11 @@ def cmd_canon(args) -> int:
 
 
 def cmd_bp(args) -> int:
-    p = algebra.parse_presentation(args.presentation)
-    print(algebra.bp_complexity(p))
+    try:
+        print(algebra.bp_complexity(algebra.parse_presentation(args.presentation)))
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     return 0
 
 

@@ -526,8 +526,7 @@ class _Manifest:
             if name.endswith(".txt"):
                 path = os.path.join(self.shard_dir, name)
                 header = _shard_header(path)
-                g, k, m, seconds = (header.pop(key, None)
-                                    for key in ("skeleton", "k", "m", "seconds"))
+                g, k, m, seconds = (header.pop(key) for key in ("skeleton", "k", "m", "seconds"))
                 if header == self.scan_options:
                     plans.setdefault(g, {}).setdefault(m, {})[k] = (path, seconds)
         sweeps = {}
@@ -572,12 +571,18 @@ def _read_sweep(s: Skeleton, shares) -> tuple[Packed, float]:
 
 
 def _shard_header(path: str) -> dict:
+    """The header store_share writes: a JSON object with integer skeleton,
+    k and m and numeric seconds, else ValueError with the file and line."""
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
     try:
-        return dict(json.loads(first.removeprefix("# ")))
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}:1: not a shard file header") from None
+        header = json.loads(first.removeprefix("# "))
+        if (all(type(header[key]) is int for key in ("skeleton", "k", "m"))
+                and type(header["seconds"]) in (int, float)):
+            return header
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise ValueError(f"{path}:1: not a shard file header")
 
 
 def _read_shard(path: str, n_edges: int):

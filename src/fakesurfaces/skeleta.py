@@ -323,9 +323,10 @@ def spanning_tree(s: Skeleton) -> tuple[int, ...]:
     return tuple(tree)
 
 
-def boundary_columns(s: Skeleton, tree=None) -> tuple[int, ...]:
-    """Labels of the non-tree edges, ascending: the boundary matrix columns."""
-    tree_set = set(spanning_tree(s) if tree is None else tree)
+def boundary_columns(s: Skeleton) -> tuple[int, ...]:
+    """Labels of the non-tree edges, ascending: the boundary matrix columns
+    and the generators of algebra.presentation_of, in that order."""
+    tree_set = set(spanning_tree(s))
     return tuple(e for e in range(1, s.n_edges + 1) if e not in tree_set)
 
 

@@ -403,29 +403,29 @@ class _CountLookahead(dict):
     p's own.  It is built from pairings alone (_glue without paths):
     reach(key), the bitmask of curve counts the remaining edges can close,
     is the union over p of reach(key after p) shifted by the curves p
-    closes, and reach(()) = {0}.  The condition is necessary, so the DFS can
-    skip a child that fails it.
+    closes, and reach(()) = {0}.  The six terms are memoized per key
+    (self.totals), so no key is glued twice; the dict holds the keys the DFS
+    met.  The condition is necessary, so the DFS can skip a child that fails
+    it.
     """
 
     def __init__(self, n_nodes: int, target: int):
         super().__init__()
         self.n_nodes = n_nodes
         self.target = target
-        self.reach: dict[tuple[int, ...], int] = {(): 1}
+        self.totals: dict[tuple[int, ...], tuple[int, ...]] = {(): (1,)}
 
-    def _totals(self, key: tuple[int, ...]) -> list[int]:
+    def _totals(self, key: tuple[int, ...]) -> tuple[int, ...]:
         # per permutation p of the key's first edge, reach(key after p) << closes
-        base = self.n_nodes - len(key)
-        totals = []
-        for p in _SHEETS:
-            end = list(key)
-            closes = len(_glue(end, base, p))
-            rest = tuple(end[6:])
-            r = self.reach.get(rest)
-            if r is None:
-                r = self.reach[rest] = reduce(or_, self._totals(rest))
-            totals.append(r << closes)
-        return totals
+        if key not in self.totals:
+            base = self.n_nodes - len(key)
+            totals = []
+            for p in _SHEETS:
+                end = list(key)
+                closes = len(_glue(end, base, p))
+                totals.append(reduce(or_, self._totals(tuple(end[6:]))) << closes)
+            self.totals[key] = tuple(totals)
+        return self.totals[key]
 
     def __missing__(self, key: tuple[int, ...]) -> tuple[int, ...]:
         # count c before the edge needs bit target - c

@@ -1,10 +1,12 @@
 """Independent oracles: a cofactor-expansion determinant and the Smith
-normal form of an integer matrix, which share no code with the library, and
-the set-based orbit quotient the classifier's reduce used before its
-canonicity test.
+normal form of an integer matrix, which share no code with the library, the
+set-based orbit quotient the classifier's reduce used before its canonicity
+test, and a tree collapse that renumbers per tree label and a generator
+elimination that builds one presentation per generator removed.
 
 Tests compare algebra.det_bareiss and algebra.is_acyclic against the first
-two, and pipeline.reduce_survivors against the third.
+two, pipeline.reduce_survivors against the third, and
+algebra.presentation_of and algebra.tietze_simplify against the last.
 """
 
 
@@ -107,3 +109,53 @@ def reduce_by_orbit_sets(s, survivors, coset_cap=None):
                                      acyclic=True, spine=spine, pi1=pi1))
     records.sort(key=lambda r: canon.encode_words(r.disks))
     return records
+
+
+def _cyclic_reduce(word) -> tuple[int, ...]:
+    out: list[int] = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    while len(out) >= 2 and out[0] == -out[-1]:
+        out = out[1:-1]
+    return tuple(out)
+
+
+def presentation_by_renumbering(f):
+    """The balanced presentation of a surface by collapsing its spanning
+    tree: drop the tree letters, then remove each tree label in decreasing
+    order, shifting the magnitude of every larger label down by one."""
+    from fakesurfaces.algebra import Presentation
+    from fakesurfaces.skeleta import spanning_tree
+
+    tree = sorted(spanning_tree(f.skeleton), reverse=True)
+    relators = []
+    for w in f.disks:
+        r = [x for x in w if abs(x) not in tree]
+        for t in tree:
+            r = [x - 1 if x > t else (x + 1 if x < -t else x) for x in r]
+        relators.append(tuple(r))
+    return Presentation(f.skeleton.n_edges - len(tree), tuple(relators))
+
+
+def eliminate_step_by_step(p):
+    """Cyclically reduce every relator, dropping empty ones; then, while a
+    relator has length 1, remove the first such relator's generator: delete
+    its letters, renumber the generators above it, reduce again and build a
+    new presentation, one per generator removed."""
+    from fakesurfaces.algebra import Presentation
+
+    p = Presentation(p.ngens, tuple(r for r in map(_cyclic_reduce, p.relators) if r), p.names)
+    while (unit := next((r for r in p.relators if len(r) == 1), None)) is not None:
+        g = abs(unit[0])
+        relators = []
+        for r in p.relators:
+            r = tuple(x for x in r if abs(x) != g)
+            r = _cyclic_reduce(x - 1 if x > g else (x + 1 if x < -g else x) for x in r)
+            if r:
+                relators.append(r)
+        names = tuple(n for i, n in enumerate(p.names) if i != g - 1)
+        p = Presentation(p.ngens - 1, tuple(relators), names)
+    return p

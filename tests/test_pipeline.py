@@ -281,6 +281,27 @@ def test_cli_verify_pi1_canon(tmp_path, capsys):
     assert len(lines) == 2 and lines[0].startswith("1 1 | ")
 
 
+@pytest.mark.parametrize("command", ("verify", "pi1", "canon"))
+def test_cli_reports_an_unreadable_file_in_one_line(tmp_path, capsys, command):
+    bad = tmp_path / "rows.txt"
+    bad.write_text("1 1 | 1 1 x : Y Y\n")
+    missing = tmp_path / "missing.txt"
+    for path, message in ((bad, "line 1: invalid literal for int() with base 10: 'x'"),
+                          (missing, "No such file or directory")):
+        assert cli.main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"{path}: {message}\n")
+
+
+@pytest.mark.parametrize("presentation, message", (
+    ("x|x^0", "at position 4: bad exponent"),
+    ("x|x", "generator x occurs 1 times; the construction needs every generator at least twice"),
+))
+def test_cli_bp_reports_a_bad_presentation_in_one_line(capsys, presentation, message):
+    assert cli.main(["bp", presentation]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_cli_env_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(pipeline.OUT_DIR_ENV, str(tmp_path / "envout"))
     assert cli.main(["classify", "--complexity", "1"]) == 0
@@ -493,6 +514,34 @@ def test_bad_shard_line_fails_with_file_and_line(tmp_path, line, problem):
     lines[2] = line
     open(path, "w").write("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: {problem}")):
+        classify(2, out_dir=out)
+
+
+def _edited(**changes):
+    """A header line: the written one with changes, a None value deleting its key."""
+    def edit(header):
+        header = {k: v for k, v in dict(header, **changes).items() if v is not None}
+        return "# " + json.dumps(header)
+    return edit
+
+
+@pytest.mark.parametrize("first", (
+    _edited(m=None),
+    _edited(k="1"),
+    _edited(skeleton=1.0),
+    _edited(seconds="1"),
+    lambda header: "# [1, 2]",
+    lambda header: "# {",
+    lambda header: "0,0,0,0",
+), ids=("no-m", "string-k", "float-skeleton", "string-seconds",
+        "not-an-object", "not-json", "no-header"))
+def test_malformed_shard_header_fails_with_file_and_line(tmp_path, first):
+    out = str(tmp_path / "runs")
+    pipeline.scan_share(2, 1, 1, out)
+    path = os.path.join(out, "shards", "t2_g1_shard1of1.txt")
+    header, rest = open(path).read().split("\n", 1)
+    open(path, "w").write(first(json.loads(header.removeprefix("# "))) + "\n" + rest)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: not a shard file header")):
         classify(2, out_dir=out)
 
 

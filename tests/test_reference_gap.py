@@ -78,7 +78,7 @@ def test_extra_class_is_a_genuine_surface():
     f = Surface(s, U_WORDS)
     assert validate_words(s, U_WORDS)
     assert is_acyclic(f)
-    assert pi1_trivial(f).proven_trivial
+    assert pi1_trivial(f).status == "trivial"
 
 
 def test_published_rows_hit_62_distinct_classes_and_miss_one():

@@ -150,6 +150,24 @@ def test_count_lookahead_equals_brute_force_curve_counts(t, index):
         assert allowed == want, (key, allowed, want)
 
 
+def test_count_lookahead_glues_no_key_and_permutation_twice(monkeypatch):
+    s = skeleton_by_index(4, 10)
+    glued = []
+    real = surfaces._glue
+
+    def counting(end, base, sheets, paths=None, ahead=0, back=0):
+        if paths is None:  # a count-lookahead key, glued by one permutation
+            glued.append((tuple(end), sheets))
+        return real(end, base, sheets, paths, ahead, back)
+
+    monkeypatch.setattr(surfaces, "_glue", counting)
+    _kernel_tables.cache_clear()
+    for _ in enumerate_surfaces(s, min_disk_len=3):
+        pass
+    _kernel_tables.cache_clear()
+    assert glued and len(set(glued)) == len(glued)
+
+
 def _tail_curves(key, base, fwd, bwd, pair):
     """The curves permutations pair = (p, q) of the last two edges close,
     found by walking every cycle of the open paths' pairing (key, partners
