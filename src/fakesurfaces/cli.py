@@ -13,8 +13,9 @@ Output directory defaults to $FAKESURFACES_OUT, else ./fakesurfaces-out.
 `classify` scans each skeleton as share 1 of 1 of pipeline's one share
 plan, with --jobs workers.  `classify --shard k/m` scans share k of an
 m-share sweep (pipeline.scan_share); a later `classify` in the same --out
-merges each skeleton whose sweep is complete.  `tables` reads only runs
-without --min-disk-len (pipeline.load_census).
+merges each skeleton whose sweep is complete.  A share computes no pi1, so
+--shard and --coset-cap exclude each other: the merging run's cap applies.
+`tables` reads only runs without --min-disk-len (pipeline.load_census).
 """
 
 from __future__ import annotations
@@ -66,11 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_at_least_one("jobs"), default=1,
                    help="worker processes; each skeleton's scan goes whole to one "
                         "of them while there are at least as many skeleta to scan")
-    p.add_argument("--shard", type=_shard_spec, default=None, metavar="k/m",
-                   help="scan only share k of an m-share sweep and persist its "
-                        "survivors; a later classify run merges complete sweeps")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--coset-cap", type=cap, default=algebra.DEFAULT_COSET_CAP)
+    share_or_cap = p.add_mutually_exclusive_group()
+    share_or_cap.add_argument("--shard", type=_shard_spec, default=None, metavar="k/m",
+                              help="scan only share k of an m-share sweep and persist its "
+                                   "survivors; a later classify run merges complete sweeps")
+    share_or_cap.add_argument("--coset-cap", type=cap, default=algebra.DEFAULT_COSET_CAP)
 
     p = sub.add_parser("verify", help="verify a surface file")
     p.add_argument("file")

@@ -2,7 +2,7 @@
 
 Two line-oriented formats are supported, and both parse to one record
 type, SurfaceRecord; read_records reads a file in either, chosen by its
-first record line.
+first record line, and iter_records yields its records as it reads them.
 
 Reference listing format (the published classification tables):
 
@@ -71,7 +71,7 @@ def format_listing_line(row: SurfaceRecord) -> str:
 
 
 def parse_listing(text: str) -> list[SurfaceRecord]:
-    return _parse_lines(text.splitlines(), parse_listing_line)
+    return list(_parse_lines(text.splitlines(), parse_listing_line))
 
 
 def load_reference_listing(complexity: int) -> list[SurfaceRecord]:
@@ -264,25 +264,28 @@ def file_format(path) -> str:
     return detect_format(first)
 
 
-def _parse_lines(lines, parse=None) -> list[SurfaceRecord]:
-    """The records of lines, skipping blank and # comment lines, each read
-    by parse: by default the parser of the first record line's format.  A
-    parse error carries its line number."""
-    numbered = [(n, l) for n, l in enumerate((line.strip() for line in lines), start=1)
-                if l and not l.startswith("#")]
-    if parse is None and numbered:
-        native = detect_format(numbered[0][1]) == "native"
-        parse = SurfaceRecord.from_json if native else parse_listing_line
-    out = []
-    for n, l in numbered:
+def _parse_lines(lines, parse=None):
+    """Yield the records of lines as they are read, skipping blank and #
+    comment lines, each read by parse: by default the parser of the first
+    record line's format.  A parse error carries its line number."""
+    for n, l in enumerate((line.strip() for line in lines), start=1):
+        if not l or l.startswith("#"):
+            continue
+        if parse is None:
+            parse = SurfaceRecord.from_json if detect_format(l) == "native" else parse_listing_line
         try:
-            out.append(parse(l))
+            record = parse(l)
         except (ValueError, KeyError) as exc:
             raise ValueError(f"line {n}: {exc}") from exc
-    return out
+        yield record
+
+
+def iter_records(path):
+    """Yield the records of a surface file in either format as they are
+    read; parse errors carry line numbers."""
+    with open(path, encoding="utf-8") as fh:
+        yield from _parse_lines(fh)
 
 
 def read_records(path) -> list[SurfaceRecord]:
-    """Read a surface file in either format; parse errors carry line numbers."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_lines(fh)
+    return list(iter_records(path))

@@ -51,12 +51,13 @@ job count, one scan task each; classify scans share 1 of 1.  A scan too
 long for one run splits into a k-of-m sweep: scan_share writes a shard
 file per skeleton whose header holds the scan options, source fingerprint,
 skeleton, k, m and seconds.  classify takes each skeleton from the
-manifest, else from a complete sweep of matching shard files (reduced and
-stored like a scan), else from a scan, and decides which before the stream
-starts.  A skeleton's seconds, in the manifest and in shard headers, are
-the summed times of its scan tasks, measured where they ran, plus (in the
-manifest) its reduce.  load_census reads a finished run without a
-disk-length filter back for the tables.
+manifest, else from a complete sweep of matching shard files, read as its
+scan-task results, one per file, else from a scan, and decides which
+before the stream starts; both go to classify_skeleton.  A skeleton's
+seconds, in the manifest and in shard headers, are the summed times of its
+scan tasks, measured where they ran, plus (in the manifest) its reduce.
+load_census reads a finished run without a disk-length filter back for the
+tables.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from . import algebra, canon, topology
-from .formats import IngestError, SurfaceRecord, file_format, ingest_row, read_records
+from .formats import (IngestError, SurfaceRecord, file_format, ingest_row, iter_records,
+                      read_records)
 from .skeleta import Skeleton, enumerate_skeleta, skeleton_by_index, skeleton_stats
 from .surfaces import Surface, enumerate_surfaces, trace_gluing
 
@@ -201,9 +203,8 @@ class Packed:
 
 
 def _gather(s: Skeleton, scans) -> tuple[Packed, float]:
-    """The concatenated survivors and summed seconds of skeleton s's scan
-    tasks.  Each range comes back in mixed-radix order and ranges are
-    disjoint, so ascending prefixes give ascending survivors."""
+    """The survivors of skeleton s's scan-task results, joined in their
+    order (the reduce does not depend on it), and their summed seconds."""
     packed, seconds = [], 0.0
     for found, took in scans:
         packed.append(found)
@@ -223,11 +224,12 @@ def _check_options(t: int = 1, jobs: int = 1, min_disk_len: int = 1,
 def classify_skeleton(
     s: Skeleton, scans, coset_cap: int = algebra.DEFAULT_COSET_CAP
 ) -> tuple[list[SurfaceRecord], float]:
-    """Classify all acyclic surfaces over one skeleton from its slice of the
-    run's scan stream (see _scan_stream): consume the slice, then reduce.
-    Returns the records, which are deterministic, and the seconds they
-    cost: the scan tasks' own times, as measured where they ran, plus the
-    reduce."""
+    """Classify all acyclic surfaces over one skeleton from its scan-task
+    results, (packed survivors, seconds) pairs: its slice of the run's scan
+    stream (see _scan_stream), or the shard files of a complete sweep
+    (_read_sweep).  Consume them, then reduce.  Returns the records, which
+    are deterministic, and the seconds they cost: the scan tasks' own
+    times, as measured where they ran, plus the reduce."""
     survivors, seconds = _gather(s, scans)
     started = time.perf_counter()
     records = reduce_survivors(s, survivors, coset_cap)
@@ -243,6 +245,8 @@ def scan_share(t: int, k: int, m: int, out_dir: str, min_disk_len: int = 1,
     run as in classify.  A shard header's seconds are the summed times of
     the skeleton's scan tasks."""
     _check_options(t, jobs, min_disk_len)
+    if not 1 <= k <= m:
+        raise ValueError(f"share {k} of {m} is outside 1 <= k <= m")
     manifest = _Manifest(out_dir, t, min_disk_len)
     plans = [(s, share_prefixes(s, k, m)) for s in enumerate_skeleta(t)]
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
@@ -330,10 +334,11 @@ def classify(
     The skeleta to scan form one task stream (_scan_stream), in this
     process at jobs=1, else in a pool of `jobs` workers, where each
     skeleton goes whole to one worker when there are at least `jobs`
-    skeleta to scan.  Skeleta are then taken in index order: a scanned one
-    by classify_skeleton from its slice of the stream, while the workers
-    scan later ones.  Each skeleton's classes get their published sign-flip
-    key right after they are reduced or loaded.
+    skeleta to scan.  Skeleta are then taken in index order, each from the
+    manifest or from classify_skeleton, given a swept one's shard files as
+    its scan-task results or a scanned one's slice of the stream, while the
+    workers scan later ones.  Each skeleton's classes get
+    their published sign-flip key right after they are reduced or loaded.
     """
     _check_options(t, jobs, min_disk_len, coset_cap)
     skeleta = enumerate_skeleta(t)
@@ -361,17 +366,12 @@ def classify(
             if s.index in loaded:
                 records = manifest.load_skeleton(s.index)
             else:
-                if s.index in sweeps:
-                    started = time.perf_counter()
-                    survivors, seconds = _read_sweep(s, sweeps[s.index])
-                    records = reduce_survivors(s, survivors, coset_cap)
-                    seconds += time.perf_counter() - started
-                else:
-                    records, seconds = classify_skeleton(s, next(scans), coset_cap)
+                found = _read_sweep(s, sweeps[s.index]) if s.index in sweeps else next(scans)
+                records, seconds = classify_skeleton(s, found, coset_cap)
                 if manifest is not None:
                     manifest.store_skeleton(s.index, records, seconds)
             result.sign_flip_merges += find_sign_flip_merges(
-                (r.surface() for r in records), start=result.total + 1)
+                enumerate((r.surface() for r in records), start=result.total + 1))
             if progress is not None:
                 progress(s, records)
             result.records.extend(records)
@@ -409,20 +409,18 @@ def load_census(out_dir: str, t: int) -> ClassificationResult:
     return result
 
 
-def find_sign_flip_merges(surfaces, start: int = 1) -> list[tuple[int, int]]:
-    """Pairs (first, later) of positions, counted from start, whose surfaces
-    lie over one skeleton and in one published sign-flip class
-    (canon.canonical_key).
+def find_sign_flip_merges(numbered) -> list[tuple[int, int]]:
+    """Pairs (first, later) of record numbers, read from (record number,
+    surface) pairs, whose surfaces lie over one skeleton and in one
+    published sign-flip class (canon.canonical_key).
 
     The classifier keeps such classes apart, since the sign-flip quotient
     can merge non-homeomorphic surfaces; this reports what the published
-    quotient would have merged.  None entries are skipped.
+    quotient would have merged.
     """
     first_of_class: dict[tuple, int] = {}
     merges = []
-    for n, f in enumerate(surfaces, start=start):
-        if f is None:
-            continue
+    for n, f in numbered:
         s = f.skeleton
         first = first_of_class.setdefault((s.complexity, s.index, canon.canonical_key(f)), n)
         if first != n:
@@ -533,7 +531,7 @@ class _Manifest:
         for g, by_m in plans.items():
             for m, shares in sorted(by_m.items()):
                 if set(shares) == set(range(1, m + 1)):
-                    sweeps[g] = list(shares.values())
+                    sweeps[g] = [shares[k] for k in range(1, m + 1)]
                     break
         return sweeps
 
@@ -562,12 +560,30 @@ class _Manifest:
         os.replace(tmp, self.path)
 
 
-def _read_sweep(s: Skeleton, shares) -> tuple[Packed, float]:
-    """(survivors, summed scan seconds) of the shard files of one complete
-    sweep of skeleton s, as _Manifest.complete_sweeps lists them."""
-    configs = (cfg for path, _ in shares for cfg in _read_shard(path, s.n_edges))
-    survivors = Packed(bytes(itertools.chain.from_iterable(configs)), s.n_edges)
-    return survivors, sum(seconds for _, seconds in shares)
+def _read_sweep(s: Skeleton, shares):
+    """The shard files of one complete sweep of skeleton s, as
+    _Manifest.complete_sweeps lists them, read as its scan tasks' results:
+    yields one (packed survivors, scan seconds) per file, as _timed_scan
+    gives one per task.  store_share writes each file in ascending order; a
+    bad line, or one not above the line before (a duplicated or reordered
+    line), fails with its number."""
+    for path, seconds in shares:
+        previous, survivors = (), bytearray()
+        with open(path, encoding="utf-8") as fh:
+            next(fh)  # the header
+            for n, line in enumerate(fh, start=2):
+                try:
+                    cfg = tuple(int(x) for x in line.split(","))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{n}: {exc}") from None
+                if len(cfg) != s.n_edges or min(cfg) < 0 or max(cfg) > 5:
+                    raise ValueError(f"{path}:{n}: not a configuration of {s.n_edges} edges")
+                if cfg <= previous:
+                    raise ValueError(f"{path}:{n}: configuration not above the line before; "
+                                     f"a shard file is strictly ascending")
+                previous = cfg
+                survivors += bytes(cfg)
+        yield survivors, seconds
 
 
 def _shard_header(path: str) -> dict:
@@ -583,27 +599,6 @@ def _shard_header(path: str) -> dict:
     except (KeyError, TypeError, ValueError):
         pass
     raise ValueError(f"{path}:1: not a shard file header")
-
-
-def _read_shard(path: str, n_edges: int):
-    """The configurations of a shard file, which store_share writes in
-    ascending order; a bad line, or one not above the line before (a
-    duplicated or reordered line), fails with its number."""
-    previous = ()
-    with open(path, encoding="utf-8") as fh:
-        next(fh)  # the header
-        for n, line in enumerate(fh, start=2):
-            try:
-                cfg = tuple(int(x) for x in line.split(","))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{n}: {exc}") from None
-            if len(cfg) != n_edges or min(cfg) < 0 or max(cfg) > 5:
-                raise ValueError(f"{path}:{n}: not a configuration of {n_edges} edges")
-            if cfg <= previous:
-                raise ValueError(f"{path}:{n}: configuration not above the line before; "
-                                 f"a shard file is strictly ascending")
-            previous = cfg
-            yield cfg
 
 
 def _sha256(path: str) -> str:
@@ -723,17 +718,16 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
     cannot be of the record's complexity (found before any skeleton is
     enumerated) or fit its skeleton in no orientation, naming the violation
     of the words as stored, and `skeleton` for a skeleton that does not
-    exist.  Mismatches are collected, not raised; parse errors abort with
-    line info.
+    exist.  Records are checked as they are read, and mismatches are
+    collected, not raised; a parse error aborts with its line number.
     """
     _check_options(coset_cap=coset_cap)
-    records = read_records(path)
     native = file_format(path) == "native"
-    report = {"records": len(records), "mismatches": [], "verified": 0}
+    report = {"records": 0, "mismatches": [], "verified": 0}
     first_of_class: dict[tuple, int] = {}  # (complexity, skeleton, key) -> record
-    distinct: list[Surface | None] = []  # valid records of a class not seen yet
-    for n, rec in enumerate(records, start=1):
-        distinct.append(None)
+    distinct: list[tuple[int, Surface]] = []  # (n, f) of the first valid record of a class
+    for n, rec in enumerate(iter_records(path), start=1):
+        report["records"] = n
         problems = []
         try:
             f = ingest_row(rec)
@@ -745,7 +739,7 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
             if first != n:
                 problems.append(("duplicate", f"same class as record {first}"))
             else:
-                distinct[-1] = f
+                distinct.append((n, f))
             if native and canon.encode_words(rec.disks) != key:
                 problems.append(("representative", "not the canonical words of its class"))
             acyclic = algebra.is_acyclic(f)

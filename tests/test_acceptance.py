@@ -342,14 +342,15 @@ def test_criterion_8d_shard_determinism(tmp_path, monkeypatch):
     digests = {_records_digest(classify(3).records)}
 
     def no_scan(*args, **kwargs):
-        raise AssertionError("a skeleton was scanned, not merged from its sweep")
+        raise AssertionError("a scan task ran during a merge")
 
-    monkeypatch.setattr(pipeline, "classify_skeleton", no_scan)
-    for m in (4, 16):
-        out = str(tmp_path / f"m{m}")
+    plans = (4, 16)
+    for m in plans:
         for k in range(1, m + 1):
-            scan_share(3, k, m, out)
-        digests.add(_records_digest(classify(3, out_dir=out).records))
+            scan_share(3, k, m, str(tmp_path / f"m{m}"))
+    monkeypatch.setattr(pipeline, "_scan_shard", no_scan)
+    for m in plans:
+        digests.add(_records_digest(classify(3, out_dir=str(tmp_path / f"m{m}")).records))
     report(8, len(digests) == 1,
            f"(d) classify(3) hashes identical to merged 4- and 16-share sweeps")
 

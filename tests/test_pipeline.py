@@ -71,13 +71,14 @@ def test_classify_records_are_valid_and_flagged():
 
 def test_determinism_across_shard_plans(tmp_path, monkeypatch):
     digests = {_digest(classify(2))}
-    scanned = _counting(monkeypatch, "classify_skeleton")
-    for m in (1, 4, 16):
-        out = str(tmp_path / f"m{m}")
+    plans = (1, 4, 16)
+    for m in plans:
         for k in range(1, m + 1):
-            pipeline.scan_share(2, k, m, out)
-        digests.add(_digest(classify(2, out_dir=out)))
-    assert scanned == []  # every skeleton was merged from its sweep
+            pipeline.scan_share(2, k, m, str(tmp_path / f"m{m}"))
+    tasks = _scan_tasks(monkeypatch)
+    for m in plans:
+        digests.add(_digest(classify(2, out_dir=str(tmp_path / f"m{m}"))))
+    assert tasks == []  # every skeleton was merged from its sweep
     assert len(digests) == 1
 
 
@@ -429,7 +430,7 @@ def test_cli_merge_ignores_shards_of_other_options(tmp_path, capsys):
     assert state["combined"]["surfaces"] == 17
 
 
-def test_cli_merged_skeleta_record_shard_scan_seconds(tmp_path, capsys):
+def test_cli_merged_skeleta_record_shard_scan_seconds(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "runs")
     argv = ["classify", "--complexity", "2", "--out", out]
     for k in ("1", "2"):
@@ -441,8 +442,12 @@ def test_cli_merged_skeleta_record_shard_scan_seconds(tmp_path, capsys):
         head, rest = open(path).read().split("\n", 1)
         header = dict(json.loads(head[2:]), seconds=5.0)
         open(path, "w").write("# " + json.dumps(header) + "\n" + rest)
+    classified = _counting(monkeypatch, "classify_skeleton")
+    tasks = _scan_tasks(monkeypatch)
     assert cli.main(argv) == 0
     capsys.readouterr()
+    assert classified == [1, 2]  # each skeleton once, from its shard files
+    assert tasks == []
     state = json.load(open(os.path.join(out, "manifest_t2.json")))
     assert [meta["seconds"] >= 10.0 for meta in state["skeletons"].values()] == [True, True]
     assert read_records(os.path.join(out, "surfaces_t2.jsonl")) == classify(2).records
@@ -461,17 +466,9 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_merge_takes_the_complete_plan_among_mixed_plans(tmp_path, monkeypatch):
-    out = str(tmp_path / "runs")
-    for k in (1, 2):
-        pipeline.scan_share(2, k, 2, out)
-    pipeline.scan_share(2, 1, 3, out)  # a stray share of another plan
-    scanned = _counting(monkeypatch, "classify_skeleton")
-    assert classify(2, out_dir=out).records == classify(2).records
-    assert scanned == [1, 2]  # only the direct run scanned: the 2/2 sweep merged
-
-
-def test_a_share_gives_every_skeleton_many_scan_tasks(tmp_path, monkeypatch):
+def _scan_tasks(monkeypatch):
+    """The arguments of every scan task (pipeline._scan_shard) run in this
+    process from now on."""
     tasks = []
     real = pipeline._scan_shard
 
@@ -480,6 +477,30 @@ def test_a_share_gives_every_skeleton_many_scan_tasks(tmp_path, monkeypatch):
         return real(args)
 
     monkeypatch.setattr(pipeline, "_scan_shard", counting)
+    return tasks
+
+
+def test_merge_takes_the_complete_plan_among_mixed_plans(tmp_path, monkeypatch):
+    out = str(tmp_path / "runs")
+    for k in (1, 2):
+        pipeline.scan_share(2, k, 2, out)
+    pipeline.scan_share(2, 1, 3, out)  # a stray share of another plan
+    direct = classify(2).records
+    tasks = _scan_tasks(monkeypatch)
+    assert classify(2, out_dir=out).records == direct
+    assert tasks == []  # nothing scanned: the 2/2 sweep merged
+
+
+@pytest.mark.parametrize("k, m", ((0, 2), (3, 2), (1, 0)))
+def test_scan_share_refuses_a_share_outside_its_plan(tmp_path, k, m):
+    out = tmp_path / "runs"
+    with pytest.raises(ValueError, match=re.escape(f"share {k} of {m} is outside 1 <= k <= m")):
+        pipeline.scan_share(2, k, m, str(out))
+    assert not out.exists()
+
+
+def test_a_share_gives_every_skeleton_many_scan_tasks(tmp_path, monkeypatch):
+    tasks = _scan_tasks(monkeypatch)
     pipeline.scan_share(2, 2, 3, str(tmp_path / "runs"))
     for s in pipeline.enumerate_skeleta(2):
         prefixes = [prefix for _, index, _, prefix in tasks if index == s.index]
@@ -660,9 +681,9 @@ def test_reduce_reads_tuples_packed_bytes_and_shard_files_alike(tmp_path, monkey
     out = str(tmp_path / "runs")
     for k in (1, 2, 3):
         pipeline.scan_share(3, k, 3, out)
-    scanned = _counting(monkeypatch, "classify_skeleton")
+    tasks = _scan_tasks(monkeypatch)
     assert classify(3, skeleton_indices=[1], out_dir=out).records == records
-    assert scanned == []  # the skeleton was merged from its sweep
+    assert tasks == []  # the skeleton was merged from its sweep
 
 
 def test_reduce_of_a_skeleton_stays_small():
@@ -796,6 +817,17 @@ def test_jobs_below_one_are_refused(tmp_path, capsys):
         cli.main(["classify", "--complexity", "2", "--jobs", "0", "--out", str(out)])
     assert exc.value.code == 2
     assert "jobs must be a whole number of at least 1, not '0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_coset_cap_for_a_share(tmp_path, capsys):
+    # a share computes no pi1; the merging run's cap is the one that applies
+    out = tmp_path / "runs"
+    argv = ["classify", "--complexity", "2", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--shard", "1/2", "--coset-cap", "5"])
+    assert exc.value.code == 2
+    assert "--coset-cap: not allowed with argument --shard" in capsys.readouterr().err
     assert not out.exists()
 
 
