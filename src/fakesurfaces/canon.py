@@ -13,9 +13,11 @@ surfaces when they differ by:
   plus reordering of the disk list.
 
 Moves (1) and (2) together form the finite group of germ symmetries of the
-skeleton.  The group acts on gluing configurations; geometric_form traces
-the minimal configuration in the orbit, normalizes every word over
-rotations and reflection, and sorts the list.  Equal geometric forms
+skeleton, built in one place, germ_symmetries, from the skeleton's vertex
+automorphisms (skeleta.automorphisms).  The group acts on gluing
+configurations; geometric_form traces the minimal configuration in the
+orbit, normalizes every word over rotations and reflection, and sorts the
+list.  Equal geometric forms
 characterize homeomorphism of labeled surfaces.  Words compare as tuples
 of letter codes 2*|x| + (x < 0), which order letters 1 < -1 < 2 < -2 < ...
 
@@ -35,10 +37,11 @@ classes of complexity 5.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .skeleta import Skeleton, edge_relabelings
+from .skeleta import Skeleton, automorphisms
 from .surfaces import (
     GluingConfig,
     S3,
@@ -103,36 +106,36 @@ class GermSymmetry:
 
 @lru_cache(maxsize=None)
 def germ_symmetries(s: Skeleton) -> tuple[GermSymmetry, ...]:
-    """The full move group (1)+(2): every edge relabeling combined with
-    every subset of loop reversals."""
+    """The full move group (1)+(2), built in one pass over the vertex
+    automorphisms (skeleta.automorphisms): under each, every cell of
+    parallel edges goes onto its image cell in every order, a non-loop
+    edge's ends follow its vertices, and each loop is kept or reversed.
+    Loop reversals are the innermost choice, the first loop's fastest:
+    orbit_minima tries the symmetries in this order."""
+    cells: dict[tuple[int, int], list[int]] = {}  # in label order, each a run of labels
+    for e, (tv, hv) in enumerate(s.edges):
+        cells.setdefault((hv, tv), []).append(e)  # head = lower vertex
     loops = [e for e, (tv, hv) in enumerate(s.edges) if tv == hv]
-    base = []
-    for rel in edge_relabelings(s):
-        germ_map = [0] * (4 * s.complexity)
-        for e in range(s.n_edges):
-            e2 = rel.perm[e]
-            if rel.flip[e]:
-                germ_map[s.edge_tail_germ[e]] = s.edge_head_germ[e2]
-                germ_map[s.edge_head_germ[e]] = s.edge_tail_germ[e2]
-            else:
-                germ_map[s.edge_tail_germ[e]] = s.edge_tail_germ[e2]
-                germ_map[s.edge_head_germ[e]] = s.edge_head_germ[e2]
-        base.append((rel.perm, germ_map))
+    tail, head, edges = s.edge_tail_germ, s.edge_head_germ, s.edges
     out = []
-    for perm, germ_map in base:
-        for mask in range(1 << len(loops)):
-            gm = list(germ_map)
-            for k, l in enumerate(loops):
-                if mask >> k & 1:
-                    # reverse the image loop after relabeling
-                    l2 = perm[l]
-                    a, b = s.edge_tail_germ[l2], s.edge_head_germ[l2]
-                    for g in range(len(gm)):
-                        if gm[g] == a:
-                            gm[g] = b
-                        elif gm[g] == b:
-                            gm[g] = a
-            out.append(GermSymmetry(tuple(perm), tuple(gm)))
+    for p in automorphisms(s.matrix):
+        img = [0] * len(p)  # p maps position k to old vertex p[k]: img is its inverse
+        for k, v in enumerate(p):
+            img[v] = k
+        orders = [itertools.permutations(cells[tuple(sorted((img[a], img[b])))])
+                  for a, b in cells]
+        for choice in itertools.product(*orders, *[(False, True)] * len(loops)):
+            reverse = dict(zip(reversed(loops), choice[len(cells):]))
+            edge_perm = [0] * s.n_edges
+            germ_map = [0] * (4 * s.complexity)
+            for e, e2 in enumerate(itertools.chain.from_iterable(choice[:len(cells)])):
+                edge_perm[e] = e2
+                tv, hv = edges[e]
+                if reverse[e] if tv == hv else img[tv] != edges[e2][0]:
+                    germ_map[tail[e]], germ_map[head[e]] = head[e2], tail[e2]
+                else:
+                    germ_map[tail[e]], germ_map[head[e]] = tail[e2], head[e2]
+            out.append(GermSymmetry(tuple(edge_perm), tuple(germ_map)))
     return tuple(out)
 
 
@@ -255,14 +258,14 @@ def encode_words(words) -> bytes:
 @lru_cache(maxsize=None)
 def _letter_tables(s: Skeleton) -> tuple[dict[int, int], ...]:
     """One map from letters to codes per distinct edge permutation of the
-    relabeling group.
+    germ symmetries.
 
-    The relabelings' flip vectors are left out: any pattern of edge
-    orientations is absorbed by the sign group that _min_signed_list
+    How the symmetries map each edge's two ends is left out: any pattern of
+    edge orientations is absorbed by the sign group that _min_signed_list
     minimizes over."""
     return tuple(
         {sign * (e + 1): 2 * e2 + 2 + (sign < 0) for e, e2 in enumerate(perm) for sign in (1, -1)}
-        for perm in sorted({rel.perm for rel in edge_relabelings(s)})
+        for perm in sorted({sym.edge_perm for sym in germ_symmetries(s)})
     )
 
 

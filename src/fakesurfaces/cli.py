@@ -107,27 +107,34 @@ def cmd_skeleta(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    """Run a classification or scan one share.  Bad run state in the
+    output directory (a manifest or shard file that does not read) is
+    reported as one line on stderr, with exit status 1."""
     out_dir = args.out or pipeline.default_out_dir()
     t = args.complexity
-    if args.shard is not None:
-        k, m = args.shard
-        pipeline.scan_share(
-            t, k, m, out_dir, min_disk_len=args.min_disk_len, jobs=args.jobs,
-            progress=lambda s, survivors: print(
-                f"shard {k}/{m} skeleton {s.index}: {len(survivors)} survivors"
+    try:
+        if args.shard is not None:
+            k, m = args.shard
+            pipeline.scan_share(
+                t, k, m, out_dir, min_disk_len=args.min_disk_len, jobs=args.jobs,
+                progress=lambda s, survivors: print(
+                    f"shard {k}/{m} skeleton {s.index}: {len(survivors)} survivors"
+                ),
+            )
+            return 0
+        result = pipeline.classify(
+            t,
+            min_disk_len=args.min_disk_len,
+            jobs=args.jobs,
+            out_dir=out_dir,
+            coset_cap=args.coset_cap,
+            progress=lambda s, recs: print(
+                f"skeleton {s.index}: {len(recs)} surfaces", file=sys.stderr
             ),
         )
-        return 0
-    result = pipeline.classify(
-        t,
-        min_disk_len=args.min_disk_len,
-        jobs=args.jobs,
-        out_dir=out_dir,
-        coset_cap=args.coset_cap,
-        progress=lambda s, recs: print(
-            f"skeleton {s.index}: {len(recs)} surfaces", file=sys.stderr
-        ),
-    )
+    except (OSError, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        return 1
     print(f"complexity {t}: {result.total} surfaces "
           f"({result.spines} spines) across {len(result.per_skeleton())} skeleta")
     for idx, n in result.per_skeleton().items():

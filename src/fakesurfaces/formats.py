@@ -27,12 +27,16 @@ violation of the words as given.
 Native record format: one JSON object per line with fields
 {skeleton: {complexity, index}, disks, flags, acyclic, spine, pi1}, written
 by SurfaceRecord.to_json, which pipeline calls once per record.
+SurfaceRecord.from_json reads acyclic and spine as null, true or false, and
+pi1 as null, "trivial", "inconclusive" or "finite:<digits>" (the order of a
+finite group); any other value fails naming its field.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -193,6 +197,7 @@ def ingest_row(row: SurfaceRecord) -> Surface:
 # native records
 
 _FLAG_PAIRS = [[a, b] for a in "YN" for b in "YN"]
+_PI1 = re.compile(r"trivial|inconclusive|finite:[0-9]+")
 
 
 def _is_int(x) -> bool:
@@ -238,6 +243,13 @@ class SurfaceRecord:
         flags = d.get("flags", [])
         if not (isinstance(flags, list) and all(fl in _FLAG_PAIRS for fl in flags)):
             raise ValueError(f"flags {flags!r} are not [embedded, bundle] pairs of Y or N")
+        for name in ("acyclic", "spine"):
+            if type(d.get(name)) not in (type(None), bool):
+                raise ValueError(f"{name} {d.get(name)!r} is not null, true or false")
+        pi1 = d.get("pi1")
+        if not (pi1 is None or isinstance(pi1, str) and _PI1.fullmatch(pi1)):
+            raise ValueError(f"pi1 {pi1!r} is not null, \"trivial\", \"inconclusive\" "
+                             "or \"finite:<digits>\"")
         return SurfaceRecord(
             complexity=sk["complexity"],
             skeleton_index=sk["index"],
@@ -245,7 +257,7 @@ class SurfaceRecord:
             flags=tuple((fl[0] == "Y", fl[1] == "Y") for fl in flags),
             acyclic=d.get("acyclic"),
             spine=d.get("spine"),
-            pi1=d.get("pi1"),
+            pi1=pi1,
         )
 
     def surface(self) -> Surface:

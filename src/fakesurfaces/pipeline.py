@@ -107,6 +107,12 @@ class ClassificationResult:
     def spines(self) -> int:
         return sum(1 for r in self.records if r.spine)
 
+    @property
+    def spine_percent(self) -> float:
+        """round(100 * spines / total, 1), recomputed from the raw integers;
+        0.0 for no surfaces."""
+        return round(100 * self.spines / self.total, 1) if self.total else 0.0
+
     def t_histogram(self) -> dict[int, int]:
         """Surface counts by number of disks with nontrivial triod bundle."""
         hist: Counter = Counter(
@@ -385,14 +391,13 @@ def load_census(out_dir: str, t: int) -> ClassificationResult:
     tables.  Raises ValueError naming the complexity when there is none, or
     when its manifest does not describe the surface file, or records a
     min_disk_len other than 1 or a subset of the skeleta: a filtered run is
-    not the census."""
+    not the census; and naming the manifest when it is not a JSON object."""
     path = os.path.join(out_dir, f"surfaces_t{t}.jsonl")
     manifest = os.path.join(out_dir, f"manifest_t{t}.json")
     if not (os.path.exists(path) and os.path.exists(manifest)):
         raise ValueError(f"missing classification for complexity {t} ({path}); "
                          f"run classify first")
-    with open(manifest, encoding="utf-8") as fh:
-        state = json.load(fh)
+    state = _read_manifest(manifest)
     if state.get("combined", {}).get("sha256") != _sha256(path):
         raise ValueError(f"complexity {t}: {path} is not the finished run "
                          f"{manifest} records; run classify again")
@@ -407,6 +412,18 @@ def load_census(out_dir: str, t: int) -> ClassificationResult:
     result = ClassificationResult(t)
     result.records = read_records(path)
     return result
+
+
+def _read_manifest(path: str) -> dict:
+    """The JSON object of a manifest file, else ValueError("<path>: ...")."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            state = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(state, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return state
 
 
 def find_sign_flip_merges(numbered) -> list[tuple[int, int]]:
@@ -443,7 +460,8 @@ def source_fingerprint() -> str:
 
 class _Manifest:
     """Per-complexity run state: options, per-skeleton part files, hashes,
-    and the shard files of k-of-m sweeps."""
+    and the shard files of k-of-m sweeps.  An existing manifest that is not
+    a JSON object is refused (ValueError naming it), not overwritten."""
 
     def __init__(self, out_dir: str, t: int, min_disk_len: int,
                  coset_cap: int = algebra.DEFAULT_COSET_CAP):
@@ -468,8 +486,7 @@ class _Manifest:
             "tool": __version__,
         }
         if os.path.exists(self.path):
-            with open(self.path, encoding="utf-8") as fh:
-                prev = json.load(fh)
+            prev = _read_manifest(self.path)
             if prev.get("options") == self.options:
                 self.state = prev
             # differing options or code: start over, old part files are overwritten
@@ -616,8 +633,8 @@ def _sha256(path: str) -> str:
 def emit_table1(results: dict[int, ClassificationResult]) -> str:
     """Surfaces by complexity and number of disks with nontrivial bundles.
 
-    The percentage column is recomputed as round(100*spines/total, 1) from
-    the raw integers; the raw fraction is printed alongside.
+    The percentage column is ClassificationResult.spine_percent; the raw
+    fraction is printed alongside.
     """
     ts = sorted(results)
     buckets = max((max(results[t].t_histogram(), default=0) for t in ts), default=0)
@@ -632,8 +649,7 @@ def emit_table1(results: dict[int, ClassificationResult]) -> str:
         hist = r.t_histogram()
         row = [str(t), str(hist.get(0, 0))]
         row += [str(hist.get(k, 0)) for k in range(1, buckets + 1)]
-        pct = round(100 * r.spines / r.total, 1) if r.total else 0.0
-        row += [str(r.total), f"{pct}", f"{r.spines}/{r.total}"]
+        row += [str(r.total), f"{r.spine_percent}", f"{r.spines}/{r.total}"]
         lines.append("\t".join(row))
     return "\n".join(lines)
 
@@ -691,7 +707,7 @@ def stats_spine_ratio(results: dict[int, ClassificationResult]) -> list[dict]:
                 "complexity": t,
                 "spines": r.spines,
                 "total": r.total,
-                "percent": round(100 * r.spines / r.total, 1) if r.total else 0.0,
+                "percent": r.spine_percent,
             }
         )
     return rows

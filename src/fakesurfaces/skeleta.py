@@ -21,11 +21,14 @@ which are only valid word systems under this orientation rule.
 Every vertex carries exactly 4 germs (edge ends).  Germ ids are 4*v + k for
 vertex v, assigned in edge-label order, a loop contributing its tail germ
 then its head germ.
+
+automorphisms lists a canonical matrix's vertex automorphisms; the
+skeleton's move group (edge relabelings and loop reversals) is built from
+them in one place, canon.germ_symmetries.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -369,56 +372,6 @@ def _simple_girth(m: Matrix) -> int:
                         best = min(best, dist[u] + dist[v] + 1)
             queue = nxt
     return best
-
-
-@dataclass(frozen=True)
-class EdgeRelabeling:
-    """An edge-label permutation induced by a graph automorphism together
-    with bundle-internal reshuffles.  flip[e] records whether the tail and
-    head germs of edge e are exchanged by the underlying vertex map."""
-
-    perm: tuple[int, ...]  # perm[e] = image edge label (0-based)
-    flip: tuple[bool, ...]
-
-
-def _bundles(s: Skeleton) -> dict[tuple[int, int], list[int]]:
-    cells: dict[tuple[int, int], list[int]] = {}
-    for e, (tv, hv) in enumerate(s.edges):
-        cells.setdefault((min(tv, hv), max(tv, hv)), []).append(e)
-    return cells
-
-
-def edge_relabelings(s: Skeleton) -> list[EdgeRelabeling]:
-    """The full relabeling group: adjacency-preserving vertex permutations
-    combined with arbitrary permutations inside each parallel-edge bundle."""
-    cells = _bundles(s)
-    cell_list = sorted(cells)
-    out = []
-    for p in automorphisms(s.matrix):
-        image_cell = {
-            c: tuple(sorted((_img(p, c[0]), _img(p, c[1])))) for c in cell_list
-        }
-        per_cell_choices = [
-            list(itertools.permutations(cells[image_cell[c]]))
-            for c in cell_list
-        ]
-        for choice in itertools.product(*per_cell_choices):
-            perm = [0] * s.n_edges
-            flip = [False] * s.n_edges
-            for c, assignment in zip(cell_list, choice):
-                for e, e_img in zip(cells[c], assignment):
-                    perm[e] = e_img
-                    tv, hv = s.edges[e]
-                    if tv != hv:
-                        flip[e] = _img(p, tv) != s.edges[e_img][0]
-            out.append(EdgeRelabeling(tuple(perm), tuple(flip)))
-    return out
-
-
-def _img(perm: tuple[int, ...], v: int) -> int:
-    # perm maps position k to old vertex perm[k]; as a vertex map old -> new
-    # we need the inverse position
-    return perm.index(v)
 
 
 def skeleton_record(s: Skeleton) -> dict:

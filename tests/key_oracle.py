@@ -1,23 +1,24 @@
 """Reference oracle for canon.canonical_form: the exhaustive sign-flip
 quotient, without pruning.
 
-For every distinct edge permutation of the relabeling group it keeps every
-greedy sign branch to the end and takes the minimum of all outputs; no bound
-is carried between permutations and no branch is dropped early.  It shares
-nothing with canon but the skeleton's relabeling group, so the library's
-pruned search can be compared with it byte for byte.
+For every distinct edge permutation of the skeleton's move group it keeps
+every greedy sign branch to the end and takes the minimum of all outputs; no
+bound is carried between permutations and no branch is dropped early.  It
+shares nothing with canon's pruned search but the move group,
+canon.germ_symmetries, so that search can be compared with it byte for byte.
 """
 
-from fakesurfaces.skeleta import edge_relabelings
+from fakesurfaces.canon import germ_symmetries
 
 
 def _distinct_edge_perms(s):
-    """Edge permutations of the relabeling group with one representative
-    flag vector each; residual flag differences are absorbed by the sign
-    group."""
+    """Edge permutations of the move group, each with the flag vector of its
+    first symmetry (flag e: the symmetry writes letter e+1 as a negative
+    letter); residual flag differences are absorbed by the sign group."""
     seen = {}
-    for rel in edge_relabelings(s):
-        seen.setdefault(rel.perm, rel.flip)
+    for sym in germ_symmetries(s):
+        if sym.edge_perm not in seen:
+            seen[sym.edge_perm] = tuple(sym.apply_letter(s, e + 1) < 0 for e in range(s.n_edges))
     return tuple(sorted(seen.items()))
 
 

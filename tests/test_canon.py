@@ -1,5 +1,6 @@
 """Word normalization, move invariance, canonical forms, geometric classes."""
 
+import hashlib
 import itertools
 import random
 
@@ -179,6 +180,17 @@ def test_germ_symmetry_group_sizes():
     assert len(germ_symmetries(skeleton_by_index(1, 1))) == 2 * 4
     assert len(germ_symmetries(skeleton_by_index(2, 2))) == 48  # no loops
     assert len(germ_symmetries(skeleton_by_index(2, 1))) == 4 * 4
+
+
+def test_germ_symmetries_keep_their_order():
+    # The tuple's order is part of its contract, not only its set: the
+    # benchmark's scrambled inputs draw symmetries by position, and
+    # orbit_minima tries them in tuple order.  896 symmetries over t <= 4.
+    data = [(s.complexity, s.index, [(g.edge_perm, g.germ_map) for g in germ_symmetries(s)])
+            for t in range(1, 5) for s in enumerate_skeleta(t)]
+    assert sum(len(syms) for _, _, syms in data) == 896
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == (
+        "26a745ee45991be16cc5b4623cf0e0282ee895c4618a6991c768c383121853c4")
 
 
 def test_canonical_form_may_leave_validity_but_key_is_stable():

@@ -179,6 +179,34 @@ def test_verify_reports_parse_position(tmp_path):
         verify_file(str(path))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("acyclic", "false"), ("acyclic", 0), ("acyclic", 1), ("spine", "true"), ("spine", 0),
+    ("pi1", "Trivial"), ("pi1", "finite:"), ("pi1", "finite:-2"), ("pi1", "finite:2 "),
+    ("pi1", True), ("pi1", 1),
+])
+def test_verify_refuses_a_stored_claim_of_another_type(tmp_path, field, value):
+    # a claim that is not null or a value classify writes used to go unchecked:
+    # "acyclic": "false" or 0 verified with no mismatch
+    lines = [r.to_json() for r in classify(1).records]
+    path = tmp_path / "c1.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert verify_file(str(path))["verified"] == 2
+    record = json.loads(lines[1])
+    record[field] = None  # an unstated claim is not checked
+    path.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+    assert verify_file(str(path))["verified"] == 2
+    record[field] = value
+    path.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+    with pytest.raises(ValueError, match=f"^line 2: {field} "):
+        verify_file(str(path))
+
+
+def test_native_records_keep_every_pi1_verdict():
+    for pi1 in ("trivial", "inconclusive", "finite:120"):
+        rec = SurfaceRecord(1, 1, ((1,),), acyclic=True, spine=False, pi1=pi1)
+        assert SurfaceRecord.from_json(rec.to_json()) == rec
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -301,6 +329,38 @@ def test_cli_reports_an_unreadable_file_in_one_line(tmp_path, capsys, command):
 def test_cli_bp_reports_a_bad_presentation_in_one_line(capsys, presentation, message):
     assert cli.main(["bp", presentation]) == 1
     assert capsys.readouterr() == ("", message + "\n")
+
+
+@pytest.mark.parametrize("manifest, problem", (
+    ("{\n", "Expecting property name enclosed in double quotes"),
+    ("[1, 2]\n", "not a JSON object"),
+), ids=("not-json", "a-list"))
+def test_cli_reports_a_bad_manifest_in_one_line(tmp_path, capsys, manifest, problem):
+    out = str(tmp_path / "runs")
+    argv = ["classify", "--complexity", "1", "--out", out]
+    assert cli.main(argv) == 0
+    path = os.path.join(out, "manifest_t1.json")
+    open(path, "w").write(manifest)
+    capsys.readouterr()
+    for command in (argv, argv + ["--shard", "1/1"],
+                    ["tables", "--max-complexity", "1", "--out", out]):
+        assert cli.main(command) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(f"{path}: {problem}") and err.count("\n") == 1
+    assert open(path).read() == manifest
+
+
+def test_cli_classify_reports_a_bad_shard_line_in_one_line(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    argv = ["classify", "--complexity", "2", "--out", out]
+    assert cli.main(argv + ["--shard", "1/1"]) == 0
+    path = os.path.join(out, "shards", "t2_g1_shard1of1.txt")
+    lines = open(path).read().splitlines()
+    lines[1] = "0,1,2"
+    open(path, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"{path}:2: not a configuration of 4 edges\n")
 
 
 def test_cli_env_out_dir(tmp_path, monkeypatch, capsys):

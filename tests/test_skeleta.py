@@ -1,14 +1,17 @@
-"""Skeleton enumeration, canonical ordering, stats, relabeling group."""
+"""Skeleton enumeration, canonical ordering, stats, and the move group that
+canon.germ_symmetries builds from the vertex automorphisms."""
 
+import math
 import random
+from collections import Counter
 
 import pytest
 
+from fakesurfaces.canon import germ_symmetries
 from fakesurfaces.skeleta import (
-    EdgeRelabeling,
+    automorphisms,
     canonicalize_adjacency,
     decimal_rep,
-    edge_relabelings,
     enumerate_skeleta,
     skeleton_by_index,
     skeleton_stats,
@@ -158,50 +161,48 @@ def test_stats_examples():
     assert all(a == 1 for i, row in enumerate(k5[0].matrix) for j, a in enumerate(row) if i != j)
 
 
-def test_relabeling_group_orders():
-    assert len(edge_relabelings(skeleton_by_index(1, 1))) == 2
-    assert len(edge_relabelings(skeleton_by_index(2, 2))) == 48
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_move_group_order(t):
+    # |G| = |vertex automorphisms| x (multiplicity)! per cell of parallel
+    # edges x 2^loops
+    for s in enumerate_skeleta(t):
+        cells = Counter((min(tv, hv), max(tv, hv)) for tv, hv in s.edges)
+        loops = sum(1 for tv, hv in s.edges if tv == hv)
+        expected = (len(automorphisms(s.matrix)) * 2 ** loops
+                    * math.prod(math.factorial(k) for k in cells.values()))
+        assert len(germ_symmetries(s)) == expected, (t, s.index)
 
 
-def _compose(a, b):
-    """a followed by b."""
-    n = len(a.perm)
-    perm = tuple(b.perm[a.perm[e]] for e in range(n))
-    flip = tuple(a.flip[e] != b.flip[a.perm[e]] for e in range(n))
-    return EdgeRelabeling(perm, flip)
-
-
-def _inverse(g):
-    n = len(g.perm)
-    inv = [0] * n
-    for e in range(n):
-        inv[g.perm[e]] = e
-    return EdgeRelabeling(tuple(inv), tuple(g.flip[inv[e]] for e in range(n)))
-
-
-def test_relabeling_group_axioms():
-    for t in (1, 2, 3):
-        for s in enumerate_skeleta(t):
-            group = edge_relabelings(s)
-            ident = EdgeRelabeling(
-                tuple(range(s.n_edges)), tuple([False] * s.n_edges)
-            )
-            assert ident in group
-            index = set(group)
-            assert len(index) == len(group)
-            for g in group:
-                assert _inverse(g) in index
-            # closure, sampled for the larger groups
-            rng = random.Random(7)
-            pairs = (
-                [(a, b) for a in group for b in group]
-                if len(group) <= 20
-                else [
-                    (rng.choice(group), rng.choice(group)) for _ in range(200)
-                ]
-            )
-            for a, b in pairs:
-                assert _compose(a, b) in index
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_move_group_axioms(t):
+    """The germ maps, as permutations of the 4t germs, form a group whose
+    elements move vertices' germs together and edges' germ pairs together."""
+    for s in enumerate_skeleta(t):
+        group = [sym.germ_map for sym in germ_symmetries(s)]
+        index = set(group)
+        assert len(index) == len(group)
+        assert tuple(range(4 * t)) in index
+        for sym in germ_symmetries(s):
+            g = sym.germ_map
+            assert sorted(g) == list(range(4 * t))
+            for v in range(t):
+                assert len({g[k] // 4 for k in range(4 * v, 4 * v + 4)}) == 1
+            for e, e2 in enumerate(sym.edge_perm):
+                assert ({g[s.edge_tail_germ[e]], g[s.edge_head_germ[e]]}
+                        == {s.edge_tail_germ[e2], s.edge_head_germ[e2]})
+            inverse = [0] * (4 * t)
+            for k, image in enumerate(g):
+                inverse[image] = k
+            assert tuple(inverse) in index
+        # closure, sampled for the larger groups
+        rng = random.Random(7)
+        pairs = (
+            [(a, b) for a in group for b in group]
+            if len(group) <= 20
+            else [(rng.choice(group), rng.choice(group)) for _ in range(200)]
+        )
+        for a, b in pairs:
+            assert tuple(b[a[k]] for k in range(4 * t)) in index  # a, then b
 
 
 def test_edge_labels_follow_upper_triangle():
