@@ -36,10 +36,11 @@ Word = tuple[int, ...]
 # boundary matrix
 
 
-def boundary_matrix(f: Surface) -> list[list[int]]:
+def boundary_matrix(f: Surface | Presentation) -> list[list[int]]:
     """Abelianized boundary map: the exponent sums of presentation_of(f),
-    one row per relator (disk), one column per generator (non-tree edge)."""
-    p = presentation_of(f)
+    one row per relator (disk), one column per generator (non-tree edge).
+    f may be that presentation itself, when the caller has built it."""
+    p = f if isinstance(f, Presentation) else presentation_of(f)
     m = [[0] * p.ngens for _ in p.relators]
     for row, r in zip(m, p.relators):
         for x in r:
@@ -128,9 +129,9 @@ def det_bareiss(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def is_acyclic(f: Surface) -> bool:
+def is_acyclic(f: Surface | Presentation) -> bool:
     """Reduced integer homology vanishes iff the boundary determinant is a
-    unit."""
+    unit.  f is a surface or its presentation_of."""
     m = boundary_matrix(f)
     if len(m) != len(m[0] if m else []) :
         return False
@@ -392,10 +393,12 @@ def coset_enumerate(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> Pi1Verdict
     return Pi1Verdict("finite", live, created)
 
 
-def pi1_trivial(f: Surface, cap: int = DEFAULT_COSET_CAP) -> Pi1Verdict:
-    """Tietze-simplify the collapsed presentation, then enumerate cosets."""
-    p = tietze_simplify(presentation_of(f))
-    return coset_enumerate(p, cap)
+def pi1_trivial(f: Surface | Presentation, cap: int = DEFAULT_COSET_CAP) -> Pi1Verdict:
+    """Tietze-simplify the collapsed presentation, then enumerate cosets.
+    f is a surface or its presentation_of: a caller that has built the
+    presentation, to test acyclicity, passes it rather than build it again."""
+    p = f if isinstance(f, Presentation) else presentation_of(f)
+    return coset_enumerate(tietze_simplify(p), cap)
 
 
 # ---------------------------------------------------------------------------

@@ -290,34 +290,26 @@ def reduce_survivors(
     for cfg in minima:
         words = canon.normalize_words(trace_gluing(s, cfg))
         flags, spine, pi1 = _derived_claims(Surface(s, words), coset_cap)
-        records.append(
-            SurfaceRecord(
-                complexity=s.complexity,
-                skeleton_index=s.index,
-                disks=words,
-                flags=flags,
-                acyclic=True,
-                spine=spine,
-                pi1=pi1,
-            )
-        )
+        records.append(SurfaceRecord(s.complexity, s.index, words, flags,
+                                     acyclic=True, spine=spine, pi1=pi1))
     records.sort(key=lambda r: canon.encode_words(r.disks))
     return records
 
 
-def _derived_claims(f: Surface, coset_cap: int, acyclic: bool = True):
+def _derived_claims(f: Surface, coset_cap: int, acyclic: bool = True, presentation=None):
     """(flags, spine, pi1) as a surface record stores them: the disk flags,
     whether every disk's triod bundle is trivial, and the pi1 verdict as
     "trivial", "finite:<order>" or "inconclusive".  Acyclicity is the
-    caller's to establish; no determinant is taken here.  For a surface the
-    caller found not acyclic pi1 is None and no coset enumeration runs: its
-    group is not trivial, and a capped enumeration could only say
-    "inconclusive"."""
+    caller's to establish; no determinant is taken here, and the verdict
+    reads the caller's presentation of f if it has built one.  For a
+    surface the caller found not acyclic pi1 is None and no coset
+    enumeration runs: its group is not trivial, and a capped enumeration
+    could only say "inconclusive"."""
     flags = tuple(topology.disk_flags(f))
     spine = all(t for _, t in flags)
     if not acyclic:
         return flags, spine, None
-    verdict = algebra.pi1_trivial(f, cap=coset_cap)
+    verdict = algebra.pi1_trivial(presentation or f, cap=coset_cap)
     pi1 = f"finite:{verdict.order}" if verdict.status == "finite" else verdict.status
     return flags, spine, pi1
 
@@ -391,7 +383,8 @@ def load_census(out_dir: str, t: int) -> ClassificationResult:
     tables.  Raises ValueError naming the complexity when there is none, or
     when its manifest does not describe the surface file, or records a
     min_disk_len other than 1 or a subset of the skeleta: a filtered run is
-    not the census; and naming the manifest when it is not a JSON object."""
+    not the census; and naming the manifest when it is not a JSON object or
+    a field it reads has the wrong shape (_read_manifest)."""
     path = os.path.join(out_dir, f"surfaces_t{t}.jsonl")
     manifest = os.path.join(out_dir, f"manifest_t{t}.json")
     if not (os.path.exists(path) and os.path.exists(manifest)):
@@ -415,7 +408,8 @@ def load_census(out_dir: str, t: int) -> ClassificationResult:
 
 
 def _read_manifest(path: str) -> dict:
-    """The JSON object of a manifest file, else ValueError("<path>: ...")."""
+    """The JSON object of a manifest file, with every field this module
+    reads in the shape _Manifest writes it, else ValueError("<path>: ...")."""
     try:
         with open(path, encoding="utf-8") as fh:
             state = json.load(fh)
@@ -423,6 +417,21 @@ def _read_manifest(path: str) -> dict:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(state, dict):
         raise ValueError(f"{path}: not a JSON object")
+    options, parts = state.get("options"), state.get("skeletons")
+    combined = state.get("combined", {"sha256": "", "skeletons": []})
+    for name, shape, ok in (
+        ("options", "an object with min_disk_len", isinstance(options, dict)
+         and "min_disk_len" in options),
+        ("skeletons", "an object of part files, each with a sha256 string",
+         isinstance(parts, dict) and all(isinstance(meta, dict)
+                                         and isinstance(meta.get("sha256"), str)
+                                         for meta in parts.values())),
+        ("combined", "an object with a sha256 string and a skeletons list",
+         isinstance(combined, dict) and isinstance(combined.get("sha256"), str)
+         and isinstance(combined.get("skeletons"), list)),
+    ):
+        if not ok:
+            raise ValueError(f"{path}: {name} is not {shape}")
     return state
 
 
@@ -431,9 +440,10 @@ def find_sign_flip_merges(numbered) -> list[tuple[int, int]]:
     surface) pairs, whose surfaces lie over one skeleton and in one
     published sign-flip class (canon.canonical_key).
 
-    The classifier keeps such classes apart, since the sign-flip quotient
-    can merge non-homeomorphic surfaces; this reports what the published
-    quotient would have merged.
+    Each pair is keyed as it is read, and only one key per published class
+    is kept, no surface.  The classifier keeps such classes apart, since
+    the sign-flip quotient can merge non-homeomorphic surfaces; this
+    reports what the published quotient would have merged.
     """
     first_of_class: dict[tuple, int] = {}
     merges = []
@@ -461,7 +471,8 @@ def source_fingerprint() -> str:
 class _Manifest:
     """Per-complexity run state: options, per-skeleton part files, hashes,
     and the shard files of k-of-m sweeps.  An existing manifest that is not
-    a JSON object is refused (ValueError naming it), not overwritten."""
+    a JSON object, or has a field of another shape than this class writes,
+    is refused (ValueError naming it), not overwritten."""
 
     def __init__(self, out_dir: str, t: int, min_disk_len: int,
                  coset_cap: int = algebra.DEFAULT_COSET_CAP):
@@ -495,13 +506,8 @@ class _Manifest:
         return os.path.join(self.dir, f"surfaces_t{self.t}_g{index}.jsonl")
 
     def has_skeleton(self, index: int) -> bool:
-        meta = self.state["skeletons"].get(str(index))
-        path = self._part_path(index)
-        return (
-            meta is not None
-            and os.path.exists(path)
-            and _sha256(path) == meta["sha256"]
-        )
+        meta, path = self.state["skeletons"].get(str(index)), self._part_path(index)
+        return meta is not None and os.path.exists(path) and _sha256(path) == meta["sha256"]
 
     def load_skeleton(self, index: int) -> list[SurfaceRecord]:
         return read_records(self._part_path(index))
@@ -699,18 +705,8 @@ def emit_tables(results: dict[int, ClassificationResult]) -> str:
 
 
 def stats_spine_ratio(results: dict[int, ClassificationResult]) -> list[dict]:
-    rows = []
-    for t in sorted(results):
-        r = results[t]
-        rows.append(
-            {
-                "complexity": t,
-                "spines": r.spines,
-                "total": r.total,
-                "percent": r.spine_percent,
-            }
-        )
-    return rows
+    return [{"complexity": t, "spines": r.spines, "total": r.total, "percent": r.spine_percent}
+            for t, r in sorted(results.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -734,14 +730,26 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
     cannot be of the record's complexity (found before any skeleton is
     enumerated) or fit its skeleton in no orientation, naming the violation
     of the words as stored, and `skeleton` for a skeleton that does not
-    exist.  Records are checked as they are read, and mismatches are
-    collected, not raised; a parse error aborts with its line number.
+    exist.  Mismatches are collected, not raised; a parse error aborts with
+    its line number.
+
+    Each record is checked as it is read, and its presentation is built
+    once, for acyclicity and pi1.  What is kept of the records read is two
+    keys per class: the geometric key, and the published key of the class's
+    first record, computed as it is read by find_sign_flip_merges.
     """
     _check_options(coset_cap=coset_cap)
-    native = file_format(path) == "native"
     report = {"records": 0, "mismatches": [], "verified": 0}
+    report["sign_flip_merges"] = find_sign_flip_merges(_check_records(path, coset_cap, report))
+    return report
+
+
+def _check_records(path, coset_cap: int, report: dict):
+    """verify_file's pass over path: check each record as it is read,
+    counting it and its mismatches into report, and yield (record number,
+    surface) for each record that is the first of its class."""
+    native = file_format(path) == "native"
     first_of_class: dict[tuple, int] = {}  # (complexity, skeleton, key) -> record
-    distinct: list[tuple[int, Surface]] = []  # (n, f) of the first valid record of a class
     for n, rec in enumerate(iter_records(path), start=1):
         report["records"] = n
         problems = []
@@ -755,41 +763,28 @@ def verify_file(path, coset_cap: int = algebra.DEFAULT_COSET_CAP) -> dict:
             if first != n:
                 problems.append(("duplicate", f"same class as record {first}"))
             else:
-                distinct.append((n, f))
+                yield n, f
             if native and canon.encode_words(rec.disks) != key:
                 problems.append(("representative", "not the canonical words of its class"))
-            acyclic = algebra.is_acyclic(f)
+            presentation = algebra.presentation_of(f)
+            acyclic = algebra.is_acyclic(presentation)
             if not acyclic:
                 problems.append(("acyclic", "record is not acyclic"))
             elif rec.acyclic is False:
                 problems.append(("acyclic", "derived True"))
-            flags, spine, pi1 = _derived_claims(f, coset_cap, acyclic)
+            flags, spine, pi1 = _derived_claims(f, coset_cap, acyclic, presentation)
             if rec.flags and len(rec.flags) != len(flags):
-                problems.append(
-                    ("flags", f"stored {len(rec.flags)} pairs for {len(flags)} disks")
-                )
+                problems.append(("flags", f"stored {len(rec.flags)} pairs for {len(flags)} disks"))
             elif rec.flags:
-                for d, (want, got) in enumerate(zip(rec.flags, flags)):
-                    if want != got:
-                        problems.append(
-                            (
-                                f"disk {d + 1} flags",
-                                f"stored {_yn(want)} derived {_yn(got)}",
-                            )
-                        )
+                problems += [(f"disk {d} flags", f"stored {_yn(want)} derived {_yn(got)}")
+                             for d, (want, got) in enumerate(zip(rec.flags, flags), start=1)
+                             if want != got]
             if rec.spine is not None and spine != rec.spine:
                 problems.append(("spine", f"derived {spine}"))
             if rec.pi1 is not None and pi1 is not None and pi1 != rec.pi1:
                 problems.append(("pi1", f"stored {rec.pi1} derived {pi1}"))
-        if problems:
-            for fieldname, detail in problems:
-                report["mismatches"].append(
-                    {"record": n, "field": fieldname, "got": detail}
-                )
-        else:
-            report["verified"] += 1
-    report["sign_flip_merges"] = find_sign_flip_merges(distinct)
-    return report
+        report["mismatches"] += [{"record": n, "field": k, "got": got} for k, got in problems]
+        report["verified"] += not problems
 
 
 def _yn(flags: tuple[bool, bool]) -> str:

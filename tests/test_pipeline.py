@@ -1,5 +1,6 @@
 """Pipeline: classification runs, determinism, persistence, verification, CLI."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -347,6 +348,31 @@ def test_cli_reports_a_bad_manifest_in_one_line(tmp_path, capsys, manifest, prob
         assert cli.main(command) == 1
         stdout, err = capsys.readouterr()
         assert stdout == "" and err.startswith(f"{path}: {problem}") and err.count("\n") == 1
+    assert open(path).read() == manifest
+
+
+@pytest.mark.parametrize("edit, problem", (
+    (lambda state: state.pop("skeletons"),
+     "skeletons is not an object of part files, each with a sha256 string"),
+    (lambda state: state["skeletons"].update({"1": {}}),
+     "skeletons is not an object of part files, each with a sha256 string"),
+    (lambda state: state.update(combined=5),
+     "combined is not an object with a sha256 string and a skeletons list"),
+), ids=("no-skeletons", "a-part-without-sha256", "combined-a-number"))
+def test_cli_reports_a_wrong_shaped_manifest_in_one_line(tmp_path, capsys, edit, problem):
+    out = str(tmp_path / "runs")
+    argv = ["classify", "--complexity", "1", "--out", out]
+    assert cli.main(argv) == 0
+    path = os.path.join(out, "manifest_t1.json")
+    state = json.load(open(path))
+    edit(state)
+    manifest = json.dumps(state)
+    open(path, "w").write(manifest)
+    capsys.readouterr()
+    for command in (argv, argv + ["--shard", "1/1"],
+                    ["tables", "--max-complexity", "1", "--out", out]):
+        assert cli.main(command) == 1
+        assert capsys.readouterr() == ("", f"{path}: {problem}\n")
     assert open(path).read() == manifest
 
 
@@ -985,3 +1011,49 @@ def test_verify_rejects_a_record_of_a_complexity_its_letters_cannot_have(tmp_pat
     record = read_records(str(path))[0]
     with pytest.raises(ValueError, match="type-1: edge 1 occurs 1 times, not 3"):
         pipeline.ingest_row(record)
+
+
+def _write_output(path, records) -> str:
+    """records written as classify writes its combined file: one JSON line each."""
+    path.write_text("".join(r.to_json() + "\n" for r in records))
+    return str(path)
+
+
+def test_verify_builds_each_presentation_once(tmp_path, monkeypatch, classification):
+    # acyclicity and the pi1 verdict read one presentation per record
+    path = _write_output(tmp_path / "surfaces_t3.jsonl", classification[0][3].records)
+    calls = []
+    real = pipeline.algebra.presentation_of
+    monkeypatch.setattr(pipeline.algebra, "presentation_of",
+                        lambda f: calls.append(f) or real(f))
+    report = verify_file(path)
+    assert (report["records"], report["verified"], report["mismatches"]) == (239, 239, [])
+    assert len(calls) == 239
+
+
+def test_verify_keeps_keys_not_records(tmp_path, classification):
+    # verify keeps two keys per class and no surface: its traced peak grows
+    # by less than 1 KiB a record from the t=3 output (239 records) to t=4
+    # skeleton 2's (1171); holding every distinct surface it grew by 1.2 KiB.
+    # The collector is off while tracing, so that no full collection empties
+    # the tuple free lists, warm from the untraced runs, mid-run: refilled
+    # with traced blocks, they add up to a few MiB whatever the file's size.
+    results = classification[0]
+    paths = [_write_output(tmp_path / "t3.jsonl", results[3].records),
+             _write_output(tmp_path / "t4_g2.jsonl",
+                           [r for r in results[4].records if r.skeleton_index == 2])]
+    for path in paths:
+        verify_file(path)  # the skeleton caches warm
+    peaks = []
+    for path in paths:
+        gc.disable()
+        tracemalloc.start()
+        try:
+            report = verify_file(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert report["verified"] == report["records"]
+    per_record = (peaks[1] - peaks[0]) / (1171 - 239)
+    assert per_record < 1024, f"{per_record:.0f} bytes a record"
