@@ -130,12 +130,11 @@ def det_bareiss(matrix) -> int:
 
 
 def is_acyclic(f: Surface | Presentation) -> bool:
-    """Reduced integer homology vanishes iff the boundary determinant is a
-    unit.  f is a surface or its presentation_of."""
-    m = boundary_matrix(f)
-    if len(m) != len(m[0] if m else []) :
-        return False
-    return abs(det_bareiss(m)) == 1
+    """Reduced integer homology vanishes iff the presentation is balanced and
+    its boundary determinant is a unit.  f is a surface or its
+    presentation_of."""
+    p = f if isinstance(f, Presentation) else presentation_of(f)
+    return p.ngens == len(p.relators) and abs(det_bareiss(boundary_matrix(p))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +248,24 @@ DEFAULT_COSET_CAP = 200_000
 
 
 def coset_enumerate(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> Pi1Verdict:
-    """Systematic coset enumeration of the trivial subgroup (HLT strategy).
+    """Enumerate the cosets of the trivial subgroup by the Haselgrove-Leech-
+    Trotter (HLT) strategy (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005).
 
-    Deterministic: cosets are defined in first-need order while scanning
-    relators at each live coset in turn.  If the table closes, the group
-    order equals the number of live cosets.
+    Passes run over the live cosets in index order, cosets defined during
+    the pass included.  At each coset every relator is scanned from both
+    ends; while the gap is two letters or more, a fresh coset is defined at
+    its front and the scan starts again from scratch.  A gap of one letter
+    is a deduction, and two ends that meet at different cosets are a
+    coincidence: the larger coset dies into the smaller, and the clashes
+    this causes queue further coincidences, processed last in first out.  A
+    coset that survives every relator then has its row filled.  The passes
+    stop once one of them defines and merges nothing; every relator then
+    closes at every coset and every row is full, so the table is the
+    regular action of the group and its order is the number of live cosets.
+
+    Deterministic.  cosets_used counts every coset defined, those later
+    merged included; reaching the cap returns "inconclusive".
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -261,12 +273,10 @@ def coset_enumerate(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> Pi1Verdict
         return Pi1Verdict("trivial", 1, 1)
 
     ncols = 2 * p.ngens
-    # column for letter x: 2*(|x|-1) + (0 if x>0 else 1)
+    # letter x is column 2(|x|-1) + (x<0); the inverse of column c is c ^ 1
+    relators = [[2 * abs(x) - 2 + (x < 0) for x in r] for r in map(cyclic_reduce, p.relators) if r]
     table: list[list[int | None]] = [[None] * ncols]
     rep = [0]  # union-find over cosets; live cosets are their own rep
-    merge_queue: list[tuple[int, int]] = []
-    merged: list[int] = []  # one entry per union, for change detection
-    created = 1
 
     def find(a: int) -> int:
         while rep[a] != a:
@@ -274,123 +284,76 @@ def coset_enumerate(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> Pi1Verdict
             a = rep[a]
         return a
 
-    def col(x: int) -> int:
-        return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
-
-    def inv_col(c: int) -> int:
-        return c ^ 1
-
-    def set_entry(a: int, c: int, b: int) -> None:
-        ta, tb = table[a][c], table[b][inv_col(c)]
-        if ta is not None and find(ta) != find(b):
-            merge_queue.append((ta, b))
-        table[a][c] = b
-        if tb is not None and find(tb) != find(a):
-            merge_queue.append((tb, a))
-        table[b][inv_col(c)] = a
-
-    def process_merges() -> None:
-        while merge_queue:
-            a, b = merge_queue.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            rep[b] = a  # b dies, a survives
-            merged.append(b)
-            for c in range(ncols):
-                t = table[b][c]
-                if t is None:
-                    continue
-                t = find(t)
-                # re-route t's inverse link from b to a
-                if table[a][c] is None:
-                    set_entry(a, c, t)
-                elif find(table[a][c]) != t:
-                    merge_queue.append((table[a][c], t))
-
     def define(a: int, c: int) -> bool:
-        """Append a fresh coset as a·c.  False when the cap is exceeded."""
-        nonlocal created
-        if created >= cap:
+        """Append a fresh coset as a·c.  False when the cap is reached."""
+        if len(table) >= cap:
             return False
+        table[a][c] = len(table)
         table.append([None] * ncols)
+        table[-1][c ^ 1] = a
         rep.append(len(rep))
-        created += 1
-        set_entry(a, c, len(table) - 1)
-        process_merges()
         return True
 
-    def scan_and_fill(a: int, relator: Word) -> bool:
-        """Scan `relator` at coset `a`, defining cosets to complete it.
-        Rescans from scratch after every definition, so coincidences cannot
-        desynchronize the walk.  Returns False when the cap is exceeded."""
-        while True:
-            a = find(a)
-            f, b = a, a
-            i, j = 0, len(relator) - 1
-            while i <= j:
-                nxt = table[f][col(relator[i])]
-                if nxt is None:
-                    break
-                f = find(nxt)
-                i += 1
-            while j >= i:
-                prv = table[b][inv_col(col(relator[j]))]
-                if prv is None:
-                    break
-                b = find(prv)
-                j -= 1
-            if i > j:
-                if f != b:
-                    merge_queue.append((f, b))
-                    process_merges()
-                return True
-            if i == j:
-                # deduction closes the scan
-                set_entry(f, col(relator[i]), b)
-                process_merges()
-                return True
-            if not define(f, col(relator[i])):
-                return False
+    def scan(a: int, r: list[int]) -> tuple[int, int, int, int]:
+        """Trace r from a forwards and backwards: the cosets f and b reached
+        and the positions i and j of the first and last letters untraced."""
+        f, i, b, j = a, 0, a, len(r) - 1
+        while i <= j and (t := table[f][r[i]]) is not None:
+            f, i = find(t), i + 1
+        while j >= i and (t := table[b][r[j] ^ 1]) is not None:
+            b, j = find(t), j - 1
+        return f, i, b, j
 
-    relators = [cyclic_reduce(r) for r in p.relators]
-    relators = [r for r in relators if r]
+    def coincide(a: int, b: int) -> int:
+        """Merge cosets a and b, and each coincidence that follows; the
+        number of cosets that die."""
+        queue, dead = [(a, b)], 0
+        while queue:
+            a, b = sorted(map(find, queue.pop()))
+            if a == b:
+                continue
+            rep[b] = a
+            dead += 1
+            for c, t in enumerate(table[b]):
+                if t is None:
+                    continue
+                t, u = find(t), table[a][c]
+                if u is None:
+                    if (v := table[t][c ^ 1]) is not None and find(v) != a:
+                        queue.append((v, a))
+                    table[a][c], table[t][c ^ 1] = t, a
+                elif find(u) != t:
+                    queue.append((u, t))
+        return dead
 
-    # Repeat full passes until one pass neither defines nor merges anything.
-    # The final quiet pass doubles as verification: every relator scan closed
-    # consistently and every row is fully defined, so the table is a genuine
-    # transitive action on the cosets.
+    dead = 0
     while True:
-        before = (created, len(merged))
+        before = (len(table), dead)
         a = 0
         while a < len(table):
-            if find(a) != a:
-                a += 1
-                continue
-            for r in relators:
-                if not scan_and_fill(a, r):
-                    return Pi1Verdict("inconclusive", None, created)
-                if find(a) != a:
-                    break  # this coset died during processing
-            else:
-                # close the row so the table cannot stall with holes
-                c = 0
-                while c < ncols:
-                    if find(a) != a:
-                        break
-                    if table[a][c] is None and not define(a, c):
-                        return Pi1Verdict("inconclusive", None, created)
-                    c += 1
+            if find(a) == a:
+                for r in relators:
+                    f, i, b, j = scan(a, r)
+                    while i < j:
+                        if not define(f, r[i]):
+                            return Pi1Verdict("inconclusive", None, len(table))
+                        f, i, b, j = scan(a, r)
+                    if i == j:
+                        table[f][r[i]], table[b][r[i] ^ 1] = b, f
+                    elif f != b:
+                        dead += coincide(f, b)
+                        if find(a) != a:
+                            break
+                else:
+                    for c in range(ncols):
+                        if table[a][c] is None and not define(a, c):
+                            return Pi1Verdict("inconclusive", None, len(table))
             a += 1
-        if (created, len(merged)) == before:
+        if (len(table), dead) == before:
             break
 
-    live = sum(1 for i in range(len(rep)) if find(i) == i)
-    if live == 1:
-        return Pi1Verdict("trivial", 1, created)
-    return Pi1Verdict("finite", live, created)
+    live = len(table) - dead
+    return Pi1Verdict("trivial" if live == 1 else "finite", live, len(table))
 
 
 def pi1_trivial(f: Surface | Presentation, cap: int = DEFAULT_COSET_CAP) -> Pi1Verdict:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import algebra, pipeline
 from .canon import canonical_form
@@ -96,13 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_skeleta(args) -> int:
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    """One skeleton record per line.  An --out file that cannot be written
+    is reported as `<path>: <reason>` on stderr, with exit status 1."""
     try:
-        for s in enumerate_skeleta(args.complexity):
-            out.write(json.dumps(skeleton_record(s), separators=(",", ":")) + "\n")
-    finally:
-        if args.out:
-            out.close()
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+            for s in enumerate_skeleta(args.complexity):
+                out.write(json.dumps(skeleton_record(s), separators=(",", ":")) + "\n")
+    except OSError as exc:
+        return _unreadable(args.out or "<stdout>", exc)
     return 0
 
 
@@ -183,8 +185,8 @@ def cmd_tables(args) -> int:
 
 
 def _unreadable(path, exc) -> int:
-    """Report a file that cannot be read or parsed as `<path>: <message>`
-    on stderr; the exit status 1."""
+    """Report a file that cannot be read, written or parsed as
+    `<path>: <message>` on stderr; the exit status 1."""
     print(f"{path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
     return 1
 

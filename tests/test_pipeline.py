@@ -221,6 +221,17 @@ def test_cli_skeleta(capsys):
     assert rec["self_loops"] == 2 and rec["girth"] == 1
 
 
+def test_cli_skeleta_reports_an_unwritable_out_file_in_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing" / "skeleta.jsonl"
+    for path, message in ((missing, "No such file or directory"),
+                          (tmp_path, "Is a directory")):
+        assert cli.main(["skeleta", "--complexity", "2", "--out", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"{path}: {message}\n")
+    written = tmp_path / "skeleta.jsonl"
+    assert cli.main(["skeleta", "--complexity", "2", "--out", str(written)]) == 0
+    assert len(written.read_text().splitlines()) == 2
+
+
 def test_cli_bp(capsys):
     assert cli.main(["bp", "x|x^3"]) == 0
     assert capsys.readouterr().out.strip() == "1"
@@ -774,19 +785,25 @@ def test_reduce_reads_tuples_packed_bytes_and_shard_files_alike(tmp_path, monkey
 
 def test_reduce_of_a_skeleton_stays_small():
     # the survivors stay packed through the reduce: no tuple per survivor
-    # and no survivor set (7.7 MiB with both, 2.9 MiB without, each read in
-    # a fresh interpreter)
+    # and no survivor set (7.7 MiB with both, 2.9 MiB without, each read
+    # cold in a fresh interpreter).  Traced warm with the collector off, as
+    # in test_verify_keeps_keys_not_records, the peak is live data, not
+    # tuple free lists refilled with traced blocks: 1.9-2.1 MiB, where it
+    # read 2.7 MiB cold with the collector on.
     s = skeleton_by_index(4, 2)
     scans = [pipeline._timed_scan((4, 2, 1, p)) for p in pipeline.share_prefixes(s, 1, 1)]
     assert sum(len(found) for found, _ in scans) == 36016 * s.n_edges
+    pipeline.classify_skeleton(s, iter(scans))  # the skeleton caches warm
+    gc.disable()
     tracemalloc.start()
     try:
         records, _ = pipeline.classify_skeleton(s, iter(scans))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        gc.enable()
     assert len(records) == 1171
-    assert peak < 3.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_verify_runs_no_pi1_on_a_record_that_is_not_acyclic(tmp_path, monkeypatch):
