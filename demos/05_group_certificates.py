@@ -37,8 +37,9 @@ print(f"  {format_presentation(p)}  ->  {q.ngens} generators, {len(q.relators)} 
 print("\nBut simplification never fakes triviality:")
 p = parse_presentation("x,y|x^5y^-3,y^3(xy)^-2")
 q = tietze_simplify(p)
+v = coset_enumerate(q)
 print(f"  binary icosahedral survives with {q.ngens} generators; "
-      f"verdict stays {coset_enumerate(q).status}:{coset_enumerate(q).order}")
+      f"verdict stays {v.status}:{v.order}")
 
 print("\nThickening the presentation 2-complex of a group and collapsing it")
 print("to a fake surface yields complexity 2L - 4k - max occurrences + 2:")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .skeleta import boundary_columns
 from .surfaces import Surface
@@ -150,22 +150,15 @@ class Presentation:
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.ngens < 0:
+            raise ValueError(f"negative number of generators {self.ngens}")
         for r in self.relators:
             for x in r:
                 if x == 0 or abs(x) > self.ngens:
                     raise ValueError(f"letter {x} outside generator range")
 
-    def occurrence_counts(self) -> list[int]:
-        counts = [0] * self.ngens
-        for r in self.relators:
-            for x in r:
-                counts[abs(x) - 1] += 1
-        return counts
-
     def gen_name(self, i: int) -> str:
-        if self.names and i <= len(self.names):
-            return self.names[i - 1]
-        return f"x{i}"
+        return self.names[i - 1] if i <= len(self.names) else f"x{i}"
 
 
 def presentation_of(f: Surface) -> Presentation:
@@ -372,18 +365,17 @@ def bp_complexity(p: Presentation) -> int:
     """Complexity of the fake surface produced by thickening and collapsing
     the standard 2-complex of a presentation: 2L - 4k - max occurrences + 2.
 
-    Requires every generator to occur at least twice across the relators;
-    the underlying edge-collapse count is undefined below that.
+    Requires a generator, each occurring at least twice across the
+    relators; the underlying edge-collapse count is undefined below that.
     """
-    counts = p.occurrence_counts()
-    for i, c in enumerate(counts):
+    if not p.ngens:
+        raise ValueError("the presentation has no generators; the construction needs one")
+    counts = [sum(abs(x) == g for r in p.relators for x in r) for g in range(1, p.ngens + 1)]
+    for g, c in enumerate(counts, start=1):
         if c < 2:
-            raise ValueError(
-                f"generator {p.gen_name(i + 1)} occurs {c} times; "
-                "the construction needs every generator at least twice"
-            )
-    L = sum(counts)
-    return 2 * L - 4 * p.ngens - max(counts) + 2
+            raise ValueError(f"generator {p.gen_name(g)} occurs {c} times; "
+                             "the construction needs every generator at least twice")
+    return 2 * sum(counts) - 4 * p.ngens - max(counts) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -400,132 +392,105 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?\d+")
 
 
+def _read_name(token: str, index: dict[str, int]) -> tuple[int, int] | None:
+    """(letter, length) of the generator a run of name characters starts with."""
+    if token in index:
+        return index[token], len(token)
+    if token[0].isupper() and token[0].lower() in index:
+        return -index[token[0].lower()], 1
+    return next(((index[token[:n]], n) for n in range(len(token) - 1, 0, -1)
+                 if token[:n] in index), None)
+
+
 def parse_presentation(text: str) -> Presentation:
     """Parse "x,y|x^5y^-3,y^3(xy)^-2" style presentations.
 
-    Generators are comma-separated names before the bar.  In relators, an
-    uppercase single letter is the inverse of the matching lowercase
-    generator; explicit exponents and parenthesized subwords are allowed.
-    Whitespace is insignificant.
+    Generators are comma-separated names before the bar.  A relator is a
+    product of generators and parenthesised relators, each with an optional
+    exponent: `^`, whitespace allowed on both sides, then a nonzero integer.
+    A run of name characters reads as the generator it names; else, if its
+    first letter is uppercase and names a generator lowercased, as that
+    generator's inverse, using one character; else as its longest prefix
+    that names a generator.  Whitespace is otherwise insignificant.
     """
     if "|" not in text:
         raise PresentationSyntaxError("missing '|'", len(text))
-    gen_part, rel_part = text.split("|", 1)
+    gen_part, src = text.split("|", 1)
     names = [g.strip() for g in gen_part.split(",") if g.strip()]
     if not names:
         raise PresentationSyntaxError("no generators", 0)
     if len(set(names)) != len(names):
         raise PresentationSyntaxError("duplicate generator name", 0)
+    if bad := next((n for n in names if not _NAME_RE.fullmatch(n)), None):
+        raise PresentationSyntaxError(f"bad generator name {bad!r}", 0)
     index = {n: i + 1 for i, n in enumerate(names)}
-    for n in names:
-        if not _NAME_RE.fullmatch(n):
-            raise PresentationSyntaxError(f"bad generator name {n!r}", 0)
+    base, pos = len(gen_part) + 1, 0
 
-    base = len(gen_part) + 1
-    src = rel_part
-    pos = 0
+    def fail(message: str):
+        raise PresentationSyntaxError(message, base + pos)
 
-    def skip_ws():
+    def peek() -> str:
+        """Skip whitespace; the next character, "" at the end."""
         nonlocal pos
         while pos < len(src) and src[pos].isspace():
             pos += 1
+        return src[pos:pos + 1]
 
-    def parse_exponent() -> int:
+    def relator() -> Word:
         nonlocal pos
-        skip_ws()
-        if pos < len(src) and src[pos] == "^":
-            pos += 1
-            skip_ws()
-            m = _INT_RE.match(src, pos)
-            if not m or int(m.group()) == 0:
-                raise PresentationSyntaxError("bad exponent", base + pos)
-            pos = m.end()
-            return int(m.group())
-        return 1
-
-    def parse_term() -> Word:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(src):
-            raise PresentationSyntaxError("unexpected end of relator", base + pos)
-        ch = src[pos]
-        if ch == "(":
-            pos += 1
-            inner = parse_relator(stop=")")
-            if pos >= len(src) or src[pos] != ")":
-                raise PresentationSyntaxError("unbalanced '('", base + pos)
-            pos += 1
-            word = inner
-        else:
-            m = _NAME_RE.match(src, pos)
-            if not m:
-                raise PresentationSyntaxError(f"unexpected character {ch!r}", base + pos)
-            name = m.group()
-            if name in index:
-                word = (index[name],)
-                pos = m.end()
-            elif len(name) >= 1 and name[0].isupper() and name[0].lower() in index:
-                # single uppercase letter = inverse; longer runs split greedily
-                word = (-index[name[0].lower()],)
+        word: list[int] = []
+        while (ch := peek()) not in ("", ",", ")"):
+            if ch == "(":
+                pos += 1
+                term = relator()
+                if peek() != ")":
+                    fail("unbalanced '('")
                 pos += 1
             else:
-                # try the longest prefix that is a generator
-                for l in range(len(name), 0, -1):
-                    if name[:l] in index:
-                        word = (index[name[:l]],)
-                        pos += l
-                        break
-                else:
-                    raise PresentationSyntaxError(f"unknown generator {name!r}", base + pos)
-        exp = parse_exponent()
-        if exp < 0:
-            word = _inverse(word)
-            exp = -exp
-        return word * exp
+                if not (m := _NAME_RE.match(src, pos)):
+                    fail(f"unexpected character {ch!r}")
+                if not (got := _read_name(m.group(), index)):
+                    fail(f"unknown generator {m.group()!r}")
+                term, pos = got[:1], pos + got[1]
+            if peek() == "^":
+                pos += 1
+                peek()
+                if not (m := _INT_RE.match(src, pos)) or not (exp := int(m.group())):
+                    fail("bad exponent")
+                pos, term = m.end(), (term if exp > 0 else _inverse(term)) * abs(exp)
+            word += term
+        if not word:
+            fail("empty relator")
+        return tuple(word)
 
-    def parse_relator(stop: str = "") -> Word:
-        nonlocal pos
-        out: list[int] = []
-        skip_ws()
-        while pos < len(src) and src[pos] not in ",)" :
-            out.extend(parse_term())
-            skip_ws()
-        if not out:
-            raise PresentationSyntaxError("empty relator", base + pos)
-        return tuple(out)
-
-    relators = []
-    while True:
-        relators.append(parse_relator())
-        skip_ws()
-        if pos >= len(src):
-            break
-        if src[pos] == ",":
-            pos += 1
-            continue
-        raise PresentationSyntaxError(f"unexpected character {src[pos]!r}", base + pos)
-
+    relators = [relator()]
+    while peek() == ",":
+        pos += 1
+        relators.append(relator())
+    if pos < len(src):
+        fail(f"unexpected character {src[pos]!r}")
     return Presentation(len(names), tuple(relators), tuple(names))
 
 
 def format_presentation(p: Presentation) -> str:
-    """Inverse of parse_presentation, with exponent folding."""
+    """Inverse of parse_presentation, with exponent folding.  A letter that
+    is not part of a run is written bare, its name or for an inverse its name
+    uppercased, where the name rule reads it back; else a generator is
+    parted from what follows by a space, and an inverse gets exponent -1."""
     names = [p.gen_name(i + 1) for i in range(p.ngens)]
+    index = {n: i + 1 for i, n in enumerate(names)}
     parts = []
     for r in p.relators:
-        s = ""
-        i = 0
-        while i < len(r):
-            j = i
-            while j < len(r) and r[j] == r[i]:
-                j += 1
-            run = j - i
-            x = r[i]
+        text = ""
+        for x, run in reversed([(x, len(list(g))) for x, g in groupby(r)]):
             name = names[abs(x) - 1]
-            if x > 0:
-                s += name if run == 1 else f"{name}^{run}"
+            bare = name if x > 0 else name.upper()
+            m = _NAME_RE.match(bare + text)
+            if run == 1 and m and _read_name(m.group(), index) == (x, len(bare)):
+                text = bare + text
+            elif run == 1 and x > 0:
+                text = f"{name} {text}"
             else:
-                s += f"{name}^-{run}" if run > 1 or len(name) > 1 or not name.isalpha() else name.upper()
-            i = j
-        parts.append(s)
+                text = f"{name}^{run if x > 0 else -run}{text}"
+        parts.append(text)
     return ",".join(names) + "|" + ",".join(parts)

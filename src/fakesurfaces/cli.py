@@ -27,7 +27,7 @@ from contextlib import nullcontext
 
 from . import algebra, pipeline
 from .canon import canonical_form
-from .formats import IngestError, ingest_row, read_records
+from .formats import IngestError, ingest_row, iter_records
 from .skeleta import enumerate_skeleta, skeleton_record
 
 
@@ -191,11 +191,11 @@ def _unreadable(path, exc) -> int:
     return 1
 
 
-def _ingested(records):
+def _ingested(path):
     """(record number, record, Surface or None) per record of a surface
-    file.  A record that does not ingest has no Surface and is reported as
-    `record N: <field>: <message>`, as verify reports it."""
-    for n, rec in enumerate(records, start=1):
+    file, as it is read.  A record that does not ingest has no Surface and
+    is reported as `record N: <field>: <message>`, as verify reports it."""
+    for n, rec in enumerate(iter_records(path), start=1):
         try:
             f = ingest_row(rec)
         except IngestError as exc:
@@ -205,37 +205,40 @@ def _ingested(records):
 
 
 def cmd_pi1(args) -> int:
+    """A verdict per record, printed as the record is read.  A file that
+    does not open or a line that does not parse is reported on stderr, after
+    the verdicts of the records before it, with exit status 1."""
+    worst = 0
     try:
-        records = read_records(args.file)
+        for n, _, f in _ingested(args.file):
+            if f is None:
+                worst = 1
+                continue
+            v = algebra.pi1_trivial(f, cap=args.coset_cap)
+            desc = {"trivial": "trivial (proven)",
+                    "finite": f"finite of order {v.order}",
+                    "inconclusive": f"inconclusive at cap (used {v.cosets_used} cosets)"}
+            print(f"record {n}: {desc[v.status]}")
+            if v.status != "trivial":
+                worst = 1
     except (OSError, ValueError) as exc:
         return _unreadable(args.file, exc)
-    worst = 0
-    for n, _, f in _ingested(records):
-        if f is None:
-            worst = 1
-            continue
-        v = algebra.pi1_trivial(f, cap=args.coset_cap)
-        desc = {"trivial": "trivial (proven)",
-                "finite": f"finite of order {v.order}",
-                "inconclusive": f"inconclusive at cap (used {v.cosets_used} cosets)"}
-        print(f"record {n}: {desc[v.status]}")
-        if v.status != "trivial":
-            worst = 1
     return worst
 
 
 def cmd_canon(args) -> int:
+    """A canonical form per record, printed as the record is read; a bad
+    file or line is reported as pi1 reports it."""
+    status = 0
     try:
-        records = read_records(args.file)
+        for _, rec, f in _ingested(args.file):
+            if f is None:
+                status = 1
+                continue
+            words = " | ".join(" ".join(str(x) for x in w) for w in canonical_form(f))
+            print(f"{rec.complexity} {rec.skeleton_index} | {words}")
     except (OSError, ValueError) as exc:
         return _unreadable(args.file, exc)
-    status = 0
-    for _, rec, f in _ingested(records):
-        if f is None:
-            status = 1
-            continue
-        words = " | ".join(" ".join(str(x) for x in w) for w in canonical_form(f))
-        print(f"{rec.complexity} {rec.skeleton_index} | {words}")
     return status
 
 

@@ -412,6 +412,113 @@ def test_parse_errors_have_positions():
         assert e.pos >= 0
 
 
+def _random_relator_text(rng, names, depth=0):
+    """A well-formed relator over names: generator names, the uppercase
+    shorthand of single lowercase letters, parenthesised subwords and
+    exponents, with spaces sprinkled between and around them."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        if depth < 2 and rng.random() < 0.2:
+            term = "(" + _random_relator_text(rng, names, depth + 1) + ")"
+        else:
+            term = rng.choice(names)
+            if len(term) == 1 and term.islower() and rng.random() < 0.3:
+                term = term.upper()
+        if rng.random() < 0.4:
+            term += rng.choice(("", " ")) + "^" + rng.choice(("", " ")) + str(
+                rng.choice((1, -1)) * rng.randint(1, 12))
+        terms.append(term)
+    return rng.choice(("", " ")).join(terms)
+
+
+def _seeded_presentation_texts():
+    """20,000 presentation texts: 10,000 well-formed, each followed by a copy
+    with one character replaced, inserted or deleted."""
+    rng = random.Random(25)
+    pool = ("x", "y", "z", "a", "b", "X", "Y", "ab", "x1", "y_2", "xy", "Z9")
+    alphabet = "xyzXYZab0129_^-(),| "
+    for _ in range(10000):
+        names = rng.sample(pool, rng.randint(1, 3))
+        text = ",".join(names) + "|" + ",".join(
+            _random_relator_text(rng, names) for _ in range(rng.randint(1, 3)))
+        yield text
+        k = rng.randrange(len(text) + 1)
+        c = rng.choice(alphabet)
+        yield rng.choice((text[:k] + c + text[k + 1:], text[:k] + c + text[k:],
+                          text[:k] + text[k + 1:]))
+
+
+def test_parse_outcomes_of_seeded_texts_have_their_pinned_hash():
+    # (ngens, relators, names), or the error's type, message and position,
+    # recorded with the parser as it stood before its rewrite into one
+    # recursive relator loop
+    outcomes = []
+    for text in _seeded_presentation_texts():
+        try:
+            p = parse_presentation(text)
+        except PresentationSyntaxError as e:
+            outcomes.append((type(e).__name__, str(e), e.pos))
+        else:
+            outcomes.append((p.ngens, p.relators, p.names))
+    messages = [o[1].split(": ", 1)[1] for o in outcomes if isinstance(o[0], str)]
+    assert len(outcomes) - len(messages) == 12216
+    kinds = ("missing '|'", "no generators", "duplicate generator name", "bad generator name",
+             "empty relator", "bad exponent", "unbalanced '('", "unexpected character",
+             "unknown generator")
+    assert {k: any(m.startswith(k) for m in messages) for k in kinds} == dict.fromkeys(kinds, True)
+    assert not any(m.startswith("unexpected end") for m in messages)
+    h = hashlib.sha256()
+    for o in outcomes:
+        h.update(repr(o).encode())
+    assert h.hexdigest() == "8c480dd14cb52ff96fbc018872dda6bc66c8a6484edfe9921e07d704abf1f992"
+
+
+def _random_relators(rng, ngens):
+    """One to three nonempty random words over ngens generators, with runs
+    of one letter up to four long."""
+    return tuple(
+        tuple(x for _ in range(rng.randint(1, 5))
+              for x in [rng.choice((1, -1)) * rng.randint(1, ngens)] * rng.randint(1, 4))
+        for _ in range(rng.randint(1, 3)))
+
+
+def test_format_of_seeded_lowercase_presentations_has_its_pinned_hash():
+    # 20,000 presentations on 1-4 generators named by lowercase letters, by
+    # a lowercase letter with digits or `_`, or by default; the text was
+    # recorded with the formatter as it stood before its rewrite
+    rng = random.Random(2025)
+    pool = tuple("abcdefghijklmnopqrstuvwxyz") + ("x1", "x2", "y10", "g_1", "ab1", "t_")
+    h = hashlib.sha256()
+    for _ in range(20000):
+        ngens = rng.randint(1, 4)
+        names = tuple(rng.sample(pool, ngens)) if rng.random() < 0.8 else ()
+        h.update(format_presentation(Presentation(ngens, _random_relators(rng, ngens), names))
+                 .encode() + b"\n")
+    assert h.hexdigest() == "1632f58d775109443bed37bb8687bba980a0a0d85e46434110c4b9a63419256f"
+
+
+def test_format_round_trips_uppercase_and_longer_names():
+    assert format_presentation(parse_presentation("X|X^-1")) == "X|X^-1"
+    assert parse_presentation(format_presentation(parse_presentation("a,B|B^-1a"))).relators == (
+        (-2, 1),)
+    assert format_presentation(Presentation(2, ((-1,), (2, 1)), ("x", "X"))) == "x,X|x^-1,X x"
+    # names in both cases, some a prefix of another, so that written side
+    # by side two names can read as a third
+    rng = random.Random(7)
+    pool = ("x", "X", "y", "Y", "a", "B", "b", "ab", "Ab", "x1", "X1", "xy", "Xy", "b_2")
+    for _ in range(5000):
+        ngens = rng.randint(1, 5)
+        p = Presentation(ngens, _random_relators(rng, ngens), tuple(rng.sample(pool, ngens)))
+        assert parse_presentation(format_presentation(p)) == p, p
+
+
+def test_presentations_that_cannot_exist_are_refused():
+    with pytest.raises(ValueError, match="negative"):
+        Presentation(-1, ())
+    with pytest.raises(ValueError, match="no generators"):
+        bp_complexity(Presentation(0, ()))
+
+
 def test_bing_house_boundary_unimodular_by_both_oracles():
     s = skeleton_by_index(2, 1)
     bing = Surface(s, ((3, -1, -3, 2, -1, -2, -4, 2, -3, -4), (4,), (-1,)))

@@ -334,6 +334,20 @@ def test_cli_reports_an_unreadable_file_in_one_line(tmp_path, capsys, command):
         assert (out, err) == ("", f"{path}: {message}\n")
 
 
+@pytest.mark.parametrize("command", ("pi1", "canon"))
+def test_cli_reports_a_bad_later_line_after_the_records_before_it(tmp_path, capsys, command):
+    rows = "".join(format_listing_line(r) + "\n" for r in load_reference_listing(1))
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text(rows)
+    bad.write_text(rows + "1 1 | 1 1 x : Y Y\n")
+    assert cli.main([command, str(good)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("\n") == 2
+    assert cli.main([command, str(bad)]) == 1
+    assert capsys.readouterr() == (
+        printed, f"{bad}: line 3: invalid literal for int() with base 10: 'x'\n")
+
+
 @pytest.mark.parametrize("presentation, message", (
     ("x|x^0", "at position 4: bad exponent"),
     ("x|x", "generator x occurs 1 times; the construction needs every generator at least twice"),
