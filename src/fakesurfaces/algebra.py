@@ -156,6 +156,14 @@ class Presentation:
             for x in r:
                 if x == 0 or abs(x) > self.ngens:
                     raise ValueError(f"letter {x} outside generator range")
+        if self.names:  # the default names x1, x2, ... are distinct and valid
+            if len(self.names) > self.ngens:
+                raise ValueError(f"{len(self.names)} names for {self.ngens} generators")
+            if bad := [n for n in self.names if not _NAME_RE.fullmatch(n)]:
+                raise ValueError(f"bad generator name {bad[0]!r}")
+            names = [self.gen_name(i) for i in range(1, self.ngens + 1)]
+            if len(set(names)) != len(names):
+                raise ValueError(f"duplicate generator name in {', '.join(names)}")
 
     def gen_name(self, i: int) -> str:
         return self.names[i - 1] if i <= len(self.names) else f"x{i}"
@@ -214,7 +222,7 @@ def tietze_simplify(p: Presentation) -> Presentation:
     number = {}
     for i, g in enumerate(survivors, start=1):
         number[g], number[-g] = i, -i
-    names = tuple(n for g, n in enumerate(p.names, start=1) if g not in killed)
+    names = tuple(map(p.gen_name, survivors)) if p.names else ()
     return Presentation(len(survivors), tuple(tuple(number[x] for x in r) for r in relators),
                         names)
 

@@ -18,14 +18,19 @@ automorphisms (skeleta.automorphisms).  The group acts on gluing
 configurations; geometric_form traces the minimal configuration in the
 orbit, normalizes every word over rotations and reflection, and sorts the
 list.  Equal geometric forms
-characterize homeomorphism of labeled surfaces.  Words compare as tuples
+characterize homeomorphism of labeled surfaces.  Words compare as bytes
 of letter codes 2*|x| + (x < 0), which order letters 1 < -1 < 2 < -2 < ...
+and hold letters up to 127 in absolute value.
 
 canonical_form quotients by a slightly larger group that also negates all
 occurrences of any single edge as a pure string move, matching the move
 list the reference classification was reduced with; see the note above
 _letter_tables.  It is one exact search over every edge permutation at
-once (_min_signed_list).  The classifier's reduce quotients by
+once (_min_signed_list), run over bytes: a word is a bytes string of its
+letter codes, and each edge permutation and each partial sign assignment
+is a 256-byte translate table.  The codes and the bound above them must
+fit a byte (2 * n_edges + 3 <= 255), so the key refuses skeleta of more
+than 126 edges (complexity above 63).  The classifier's reduce quotients by
 configuration orbits alone (the geometric quotient): orbit_minima keeps the
 survivors no germ symmetry maps below themselves, by the early-abort
 canonicity test of orderly generation, one per orbit.  Surfaces are
@@ -53,21 +58,38 @@ from .surfaces import (
 )
 
 
+_XOR1 = bytes(c ^ 1 for c in range(256))  # a code to its edge's other code
+
+
+def _encode(w) -> bytes:
+    return bytes(2 * x if x > 0 else 1 - 2 * x for x in w)
+
+
 def _decode(codes) -> Word:
     return tuple(-(c >> 1) if c & 1 else c >> 1 for c in codes)
 
 
-def _alignments(codes) -> list[tuple[int, ...]]:
-    """Every rotation of a code word and of its negated reversal."""
-    n = len(codes)
-    rev = tuple(c ^ 1 for c in reversed(codes))
-    return [d[i : i + n] for d in (codes + codes, rev + rev) for i in range(n)]
+def _openings(w: bytes) -> tuple[int, list[bytes]]:
+    """A code word's smallest first code over its alignments (rotations of
+    the word and of its negated reversal) and the alignments that open with
+    that code's edge; the least alignment is among them."""
+    n = len(w)
+    low = min(w) & -2
+    ww = w + w
+    rr = ww[::-1].translate(_XOR1)  # w's letter i, negated, is letter n - 1 - i here
+    aligned = []
+    for c in (low, low | 1):
+        i = w.find(c)
+        while i >= 0:
+            aligned += ww[i : i + n], rr[n - 1 - i : 2 * n - 1 - i]
+            i = w.find(c, i + 1)
+    return low, aligned
 
 
-def _min_rotation(w) -> tuple[int, ...]:
+def _min_rotation(w) -> bytes:
     if not w:
         raise ValueError("empty word")
-    return min(_alignments(tuple(2 * x if x > 0 else 1 - 2 * x for x in w)))
+    return min(_openings(_encode(w))[1])
 
 
 def normalize_word(w) -> Word:
@@ -78,7 +100,7 @@ def normalize_word(w) -> Word:
 
 def normalize_words(words) -> tuple[Word, ...]:
     """Normalize each word and sort the list by length, then letters."""
-    return tuple(map(_decode, sorted(map(_min_rotation, words), key=lambda c: (len(c), c))))
+    return tuple(map(_decode, sorted(sorted(map(_min_rotation, words)), key=len)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,80 +277,93 @@ def encode_words(words) -> bytes:
 # that coarser quotient so keys can be compared with the published listings.
 
 
+_UNDECIDED = bytes(256)  # the sign table before any edge is decided
+
+
 @lru_cache(maxsize=None)
-def _letter_tables(s: Skeleton) -> tuple[dict[int, int], ...]:
-    """One map from letters to codes per distinct edge permutation of the
-    germ symmetries.
+def _letter_tables(s: Skeleton) -> tuple[bytes, ...]:
+    """One translate table per distinct edge permutation of the germ
+    symmetries, from letter codes 2|x| + (x < 0) to the codes of the
+    permuted letters.
 
     How the symmetries map each edge's two ends is left out: any pattern of
     edge orientations is absorbed by the sign group that _min_signed_list
     minimizes over."""
-    return tuple(
-        {sign * (e + 1): 2 * e2 + 2 + (sign < 0) for e, e2 in enumerate(perm) for sign in (1, -1)}
-        for perm in sorted({sym.edge_perm for sym in germ_symmetries(s)})
-    )
+    tables = []
+    for perm in sorted({sym.edge_perm for sym in germ_symmetries(s)}):
+        table = bytearray(256)
+        for e, e2 in enumerate(perm):
+            table[2 * e + 2], table[2 * e + 3] = 2 * e2 + 2, 2 * e2 + 3
+        tables.append(bytes(table))
+    return tuple(tables)
 
 
-def _min_signed_list(lists, n_edges: int):
+def _min_signed_list(lists, n_edges: int) -> tuple[bytes, ...]:
     """The minimal sorted code-word list over all edge permutations (one
     word list each, with one length multiset), per-edge sign assignments
     and word rotations and reversals, exactly.
 
-    One search runs level by level, one word per level, shortest words
-    first, from one state (sign table, remaining words) per permutation.  A
-    sign table maps each letter code to its code under the signs chosen so
-    far, 0 while the edge is undecided.  All candidates at a level have one
-    length, so each level keeps only the states reaching the minimum word
-    across all states; ties that commit different signs branch.  An
-    undecided edge met in an alignment is set so its first letter there is
-    positive, which is optimal because a first occurrence dominates.
+    Words are bytes of letter codes 2|x| + (x < 0), so codes and the bound
+    above them, 2 * n_edges + 2, must fit a byte: beyond 126 edges
+    (2 * n_edges + 3 > 255) this raises ValueError.  One search runs level
+    by level, one word per level, shortest words first, from one state
+    (sign table, remaining words) per permutation.  A sign table is a
+    256-byte translate table from each letter code to its code under the
+    signs chosen so far, 0 while the edge is undecided, so one
+    bytes.translate reads an alignment under it and the table is its own
+    hashable state key.  All candidates at a level have one length, so each
+    level keeps only the states reaching the minimum word across all
+    states; ties that commit different signs branch.  An undecided edge met
+    in an alignment is set so its first letter there is positive, which is
+    optimal because a first occurrence dominates.
 
     First-letter cut: an alignment opens with its edge's even code unless
     the edge is decided the other way, so a word's smallest first code is
     its smallest edge's.  A word whose smallest first code exceeds the
     level's best word so far is skipped; only alignments opening with that
-    code are resolved.  A one-letter word reads as its edge's even code
-    under either sign, so it leaves the edge undecided: the edge's next
-    first occurrence picks the sign greedily, the minimum of both choices.
+    edge are built (_openings).  A one-letter word reads as its edge's even
+    code under either sign, so it leaves the edge undecided: the edge's
+    next first occurrence picks the sign greedily, the minimum of both
+    choices.
     """
-    undecided = (0,) * (2 * n_edges + 2)
-    states = {(undecided, tuple(sorted(ws, key=lambda w: (len(w), w)))): None for ws in lists}
-    openings: dict = {}  # word -> (smallest first code, alignments opening with it)
+    if 2 * n_edges + 3 > 255:
+        raise ValueError(f"{n_edges} edges: letter codes do not fit a byte")
+    states = {(_UNDECIDED, tuple(sorted(sorted(ws), key=len))): None for ws in lists}
+    openings: dict = {}  # word -> _openings(word), for this call only
     out = []
     for _ in range(len(lists[0])):
         remaining = next(iter(states))[1]
         n = len(remaining[0])
         shortest = sum(1 for w in remaining if len(w) == n)
-        best = (len(undecided),)  # above every code word
+        best = bytes((2 * n_edges + 2,))  # above every code word
         choices: dict = {}
         for table, remaining in states:
-            get = table.__getitem__
             for pos in range(shortest):
                 w = remaining[pos]
                 if pos > 0 and w == remaining[pos - 1]:
                     continue  # identical word, identical candidates
                 if w not in openings:
-                    low = min(w) & -2
-                    openings[w] = low, [a for a in _alignments(w) if a[0] | 1 == low | 1]
+                    openings[w] = _openings(w)
                 low, aligned = openings[w]
                 if low > best[0]:
                     continue
                 rest = remaining[:pos] + remaining[pos + 1 :]
                 if n == 1:
-                    if (low,) < best:
-                        best, choices = (low,), {}
+                    if low < best[0]:
+                        best, choices = bytes((low,)), {}
                     choices[(table, rest)] = None
                     continue
                 for seq in aligned:
-                    if get(seq[0]) & 1:
+                    if table[seq[0]] & 1:
                         continue  # opens with the odd code
-                    val, key = tuple(map(get, seq)), table
+                    val, key = seq.translate(table), table
                     if 0 in val:
-                        new = list(table)
+                        new = bytearray(table)
                         for c in seq:
                             if not new[c]:
                                 new[c], new[c ^ 1] = c & -2, c | 1
-                        val, key = tuple(map(new.__getitem__, seq)), tuple(new)
+                        key = bytes(new)
+                        val = seq.translate(key)
                     if val < best:
                         best, choices = val, {}
                     elif val > best:
@@ -337,6 +372,13 @@ def _min_signed_list(lists, n_edges: int):
         out.append(best)
         states = choices
     return tuple(out)
+
+
+def _published_codes(f: Surface) -> tuple[bytes, ...]:
+    s = f.skeleton
+    words = list(map(_encode, f.disks))
+    lists = [[w.translate(table) for w in words] for table in _letter_tables(s)]
+    return _min_signed_list(lists, s.n_edges)
 
 
 def canonical_form(f: Surface) -> tuple[Word, ...]:
@@ -348,11 +390,13 @@ def canonical_form(f: Surface) -> tuple[Word, ...]:
     list is a key, not necessarily an attachable word system; use
     geometric_form for a valid representative.
     """
-    s = f.skeleton
-    lists = [[tuple(map(table.__getitem__, w)) for w in f.disks] for table in _letter_tables(s)]
-    return tuple(map(_decode, _min_signed_list(lists, s.n_edges)))
+    return tuple(map(_decode, _published_codes(f)))
+
+
+_LETTER = [str(-(c >> 1) if c & 1 else c >> 1) for c in range(256)]  # a code as text
 
 
 def canonical_key(f: Surface) -> bytes:
-    """Stable byte encoding of the canonical form."""
-    return encode_words(canonical_form(f))
+    """Stable byte encoding of the canonical form, encode_words of it,
+    written from its codes."""
+    return ";".join(",".join(map(_LETTER.__getitem__, w)) for w in _published_codes(f)).encode()

@@ -94,33 +94,28 @@ def load_reference_listing(complexity: int) -> list[SurfaceRecord]:
 # orientation normalization
 
 
-def _incidence_classes(disks, n_edges: int) -> dict[tuple[str, int], int]:
-    """Union germ placeholders (end, edge) that must share a vertex."""
-    parent: dict = {}
+def _incidence_classes(disks, n_edges: int) -> list[int]:
+    """The vertex class of each edge end, from unioning the ends that must
+    share a vertex.  Ends are ids: edge e's head is e - 1 and its tail
+    n_edges + e - 1, so classes are numbered in the order of their roots
+    under ("H", e) < ("T", e)."""
+    parent = list(range(2 * n_edges))
 
     def find(a):
-        while parent.setdefault(a, a) != a:
+        while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
     for w in disks:
-        n = len(w)
-        for k in range(n):
-            x, y = w[k], w[(k + 1) % n]
-            union(
-                ("H", abs(x)) if x > 0 else ("T", abs(x)),
-                ("T", abs(y)) if y > 0 else ("H", abs(y)),
-            )
-    keys = [(end, e) for e in range(1, n_edges + 1) for end in "TH"]
-    reps = sorted({find(k) for k in keys})
-    rep_id = {r: i for i, r in enumerate(reps)}
-    return {k: rep_id[find(k)] for k in keys}
+        for x, y in zip(w, w[1:] + w[:1]):
+            ra = find(x - 1 if x > 0 else n_edges - x - 1)  # where x arrives
+            rb = find(n_edges + y - 1 if y > 0 else -y - 1)  # where y departs
+            if ra != rb:
+                parent[ra] = rb
+    roots = [find(a) for a in range(2 * n_edges)]
+    rep_id = {r: i for i, r in enumerate(sorted(set(roots)))}
+    return [rep_id[r] for r in roots]
 
 
 def normalize_orientations(s: Skeleton, disks) -> tuple[Word, ...]:
@@ -136,25 +131,26 @@ def normalize_orientations(s: Skeleton, disks) -> tuple[Word, ...]:
     if given:
         return disks
     failure = f"{given.kind}: {given.detail}"
-    cls = _incidence_classes(disks, s.n_edges)
+    n = s.n_edges
+    cls = _incidence_classes(disks, n)
     t = s.complexity
-    if max(cls.values()) + 1 != t:  # not one vertex per 4 germs
+    if max(cls) + 1 != t:  # not one vertex per 4 germs
         raise ValueError(failure)
     for phi in itertools.permutations(range(t)):
         ok = True
-        for e in range(1, s.n_edges + 1):
-            tc, hc = phi[cls[("T", e)]], phi[cls[("H", e)]]
-            tv, hv = s.edges[e - 1]
+        for e in range(n):
+            tc, hc = phi[cls[n + e]], phi[cls[e]]
+            tv, hv = s.edges[e]
             if {tc, hc} != {tv, hv}:
                 ok = False
                 break
         if not ok:
             continue
-        flip = [False] * (s.n_edges + 1)
-        for e in range(1, s.n_edges + 1):
-            tv, hv = s.edges[e - 1]
+        flip = [False] * (n + 1)
+        for e in range(n):
+            tv, hv = s.edges[e]
             if tv != hv:
-                flip[e] = phi[cls[("T", e)]] != tv
+                flip[e + 1] = phi[cls[n + e]] != tv
         new = tuple(
             tuple((-x if flip[abs(x)] else x) for x in w) for w in disks
         )

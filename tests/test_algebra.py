@@ -519,6 +519,24 @@ def test_presentations_that_cannot_exist_are_refused():
         bp_complexity(Presentation(0, ()))
 
 
+def test_presentation_names_are_checked():
+    # a given name may not repeat another, nor a default x{i}, so every
+    # presentation formats to text that parses back to it
+    with pytest.raises(ValueError, match="duplicate generator name"):
+        Presentation(2, ((1, 2),), ("x2",))
+    with pytest.raises(ValueError, match="duplicate generator name"):
+        Presentation(2, (), ("a", "a"))
+    with pytest.raises(ValueError, match="2 names for 1 generators"):
+        Presentation(1, (), ("a", "b"))
+    for bad in ("a b", "1a", "", "a-"):
+        with pytest.raises(ValueError, match="bad generator name"):
+            Presentation(1, (), (bad,))
+    p = Presentation(3, ((2, -3), (1, 3, 2)), ("x4",))
+    assert parse_presentation(format_presentation(p)).relators == p.relators
+    # a generator tietze_simplify keeps keeps its name, given or default
+    assert tietze_simplify(Presentation(3, ((1,), (2, 3, 2)), ("a", "x2"))).names == ("x2", "x3")
+
+
 def test_bing_house_boundary_unimodular_by_both_oracles():
     s = skeleton_by_index(2, 1)
     bing = Surface(s, ((3, -1, -3, 2, -1, -2, -4, 2, -3, -4), (4,), (-1,)))

@@ -1,10 +1,20 @@
 """The published (sign-flip) class key: the pruned canonical_form against the
-exhaustive oracle in key_oracle, and the cross-check that the quotient the
-classifier does not apply would merge no two of its records."""
+exhaustive oracle in key_oracle, a digest of its keys, and the cross-check
+that the quotient the classifier does not apply would merge no two of its
+records."""
 
+import hashlib
 import random
 
-from fakesurfaces.canon import canonical_form, germ_symmetries
+import pytest
+
+from fakesurfaces.canon import (
+    _min_signed_list,
+    canonical_form,
+    canonical_key,
+    encode_words,
+    germ_symmetries,
+)
 from fakesurfaces.formats import ingest_row, load_reference_listing
 from fakesurfaces.surfaces import Surface
 
@@ -83,3 +93,32 @@ def test_sign_flip_quotient_merges_no_records(classification):
         for a, b in pairs
     ]
     assert not named, "; ".join(named)
+
+
+# sha256 of canonical_key, one line per surface, over the surfaces of
+# test_canonical_form_matches_oracle_on_classes_rows_and_images and the t=4
+# skeleton 2 and 9 classes; recorded with the search over tuples of codes
+# that the search over bytes replaced
+KEY_DIGEST = "2e7a6fa08aee34eb4f18258bc1262bd5f3f23c20c53bed8e9fe45358eae2cd2b"
+
+
+def test_published_key_digest(classification):
+    results, _ = classification
+    surfaces = [rec.surface() for t in (1, 2, 3) for rec in results[t].records]
+    surfaces += [ingest_row(row) for t in (1, 2, 3) for row in load_reference_listing(t)]
+    rng = random.Random(2024)
+    images = [Surface(f.skeleton, _image(rng, f.skeleton, f.disks, germ_symmetries(f.skeleton)))
+              for f in surfaces for _ in range(2)]
+    t4 = [rec.surface() for rec in results[4].records if rec.skeleton_index in (2, 9)]
+    keyed = surfaces + images + t4
+    assert len(keyed) == 515 * 3 + 1171 + 35
+    keys = [canonical_key(f) for f in keyed]
+    assert keys == [encode_words(canonical_form(f)) for f in keyed]
+    assert hashlib.sha256(b"".join(k + b"\n" for k in keys)).hexdigest() == KEY_DIGEST
+
+
+def test_key_refuses_codes_beyond_a_byte():
+    # letter codes 2|x| + (x < 0) and the bound above them live in bytes
+    assert _min_signed_list([[bytes((2, 4))]], 126) == (bytes((2, 4)),)
+    with pytest.raises(ValueError, match="127 edges"):
+        _min_signed_list([[bytes((2, 4))]], 127)
