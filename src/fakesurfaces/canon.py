@@ -374,13 +374,6 @@ def _min_signed_list(lists, n_edges: int) -> tuple[bytes, ...]:
     return tuple(out)
 
 
-def _published_codes(f: Surface) -> tuple[bytes, ...]:
-    s = f.skeleton
-    words = list(map(_encode, f.disks))
-    lists = [[w.translate(table) for w in words] for table in _letter_tables(s)]
-    return _min_signed_list(lists, s.n_edges)
-
-
 def canonical_form(f: Surface) -> tuple[Word, ...]:
     """Minimum over the published move group: edge relabelings, sign flips
     of every edge, word rotation/reversal, disk reorder.
@@ -390,13 +383,12 @@ def canonical_form(f: Surface) -> tuple[Word, ...]:
     list is a key, not necessarily an attachable word system; use
     geometric_form for a valid representative.
     """
-    return tuple(map(_decode, _published_codes(f)))
-
-
-_LETTER = [str(-(c >> 1) if c & 1 else c >> 1) for c in range(256)]  # a code as text
+    s = f.skeleton
+    words = list(map(_encode, f.disks))
+    lists = [[w.translate(table) for w in words] for table in _letter_tables(s)]
+    return tuple(map(_decode, _min_signed_list(lists, s.n_edges)))
 
 
 def canonical_key(f: Surface) -> bytes:
-    """Stable byte encoding of the canonical form, encode_words of it,
-    written from its codes."""
-    return ";".join(",".join(map(_LETTER.__getitem__, w)) for w in _published_codes(f)).encode()
+    """Stable byte encoding of the canonical form."""
+    return encode_words(canonical_form(f))
