@@ -143,7 +143,9 @@ def is_acyclic(f: Surface | Presentation) -> bool:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Relators are words over signed generator indices 1..ngens."""
+    """Relators are words over signed generator indices 1..ngens.  names,
+    when given, name the first generators, and the rest are x{i}; every
+    name is distinct and an identifier."""
 
     ngens: int
     relators: tuple[Word, ...]
